@@ -156,8 +156,9 @@ def run_cell(key: CellKey, config: SweepConfig) -> CellResult:
     one evaluated.  Such a replicate's iterations and runtime_ms are the sums
     over the fit and the refit, and it counts as converged only if both
     stages converged.  A replicate whose fit or refit hits a numerical
-    failure is recorded as failed and skipped in the aggregates; more than
-    20% failures abort the cell.
+    failure (SolverNumericalError, or an ArithmeticError such as an SVD that
+    LAPACK cannot converge) is recorded as failed and skipped in the
+    aggregates; more than 20% failures abort the cell.
     """
     solver = _SOLVER_FNS[key.estimator]
     lam_frozen: float | None = None
@@ -194,7 +195,7 @@ def run_cell(key: CellKey, config: SweepConfig) -> CellResult:
             if key.estimator == "nuclear_penalized":
                 stages.append(refit_low_rank(samples, stages[0].estimate,
                                              solver_cfg))
-        except SolverNumericalError:
+        except (SolverNumericalError, ArithmeticError):
             records.append(ReplicateRecord(
                 replicate=t, seed=seed_t, margin_tau=truth.margin_tau,
                 lambda_used=lam_frozen, excess=math.nan, risk=math.nan,

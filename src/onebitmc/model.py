@@ -233,7 +233,9 @@ def nll_gradient(X: np.ndarray, samples: SampleSet) -> np.ndarray:
     X = _check_matrix(X, samples)
     p = logistic_link(X[samples.rows, samples.cols])
     resid = p - (samples.labels == 1)
-    grad = np.zeros(X.shape)
-    np.add.at(grad, (samples.rows, samples.cols), resid)
+    m1, m2 = X.shape
+    # bincount adds the weights in sample order, as a scatter-add would
+    grad = np.bincount(samples.rows * m2 + samples.cols, weights=resid,
+                       minlength=m1 * m2).reshape(m1, m2)
     grad /= samples.n
     return grad

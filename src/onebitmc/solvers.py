@@ -32,8 +32,8 @@ import numpy as np
 
 from .model import SampleSet, Shape, neg_log_likelihood, nll_gradient
 from .seeding import TAG_SPLIT, make_rng, mix_seed
-from .spectral import (clip_entries, nuclear_norm, project_factor_rows,
-                       project_nuclear_ball, svd)
+from .spectral import (_thin_svd, clip_entries, nuclear_norm,
+                       project_factor_rows, project_nuclear_ball, svd)
 
 ESTIMATORS = ("nuclear_penalized", "nuclear_constrained", "maxnorm_constrained")
 
@@ -133,13 +133,23 @@ def _require_samples(samples: SampleSet):
         raise ValueError("sample set is empty")
 
 
-def _maxnorm_bound_via_svd(X: np.ndarray) -> float:
-    """Certified max-norm upper bound from the balanced SVD factorization."""
-    t = svd(X)
-    root = np.sqrt(t.singular_values)
-    lu = np.linalg.norm(t.left * root, axis=1).max() if X.size else 0.0
-    rv = np.linalg.norm(t.right * root, axis=1).max() if X.size else 0.0
-    return float(lu * rv)
+def _feasibility_report(X: np.ndarray, gamma: float,
+                        triple) -> FeasibilityReport:
+    """Box violation, nuclear norm and certified max-norm bound of X.
+
+    triple is the thin SVD (u, s, vt) of X and gives both spectral figures:
+    the nuclear norm is s.sum(), and the max-norm bound is the product of
+    the largest row norms of the balanced factors u sqrt(s) and vt.T sqrt(s).
+    Neither depends on the signs of the singular vectors.
+    """
+    u, s, vt = triple
+    root = np.sqrt(s)
+    lu = np.linalg.norm(u * root, axis=1).max() if X.size else 0.0
+    rv = np.linalg.norm(vt.T * root, axis=1).max() if X.size else 0.0
+    return FeasibilityReport(
+        inf_norm_violation=max(0.0, float(np.max(np.abs(X))) - gamma),
+        nuclear_norm=float(s.sum()),
+        maxnorm_upper_bound=float(lu * rv))
 
 
 def _proximal_descent(samples: SampleSet, config: SolverConfig, candidate):
@@ -208,23 +218,20 @@ def solve_nuclear_penalized(samples: SampleSet, config: SolverConfig) -> FitResu
     lam, gamma = config.lam, config.gamma
 
     def candidate(X, grad, step):
-        t = svd(X - step * grad)
-        shrunk = np.maximum(t.singular_values - step * lam, 0.0)
-        xc, violation = clip_entries((t.left * shrunk) @ t.right.T, gamma)
+        u, s, vt = _thin_svd(X - step * grad)
+        shrunk = np.maximum(s - step * lam, 0.0)
+        xc, violation = clip_entries((u * shrunk) @ vt, gamma)
         if lam == 0.0:
             return xc, 0.0
         nuc = float(shrunk.sum()) if violation == 0.0 else nuclear_norm(xc)
         return xc, lam * nuc
 
     X, trace, converged, work = _proximal_descent(samples, config, candidate)
-    report = FeasibilityReport(
-        inf_norm_violation=max(0.0, float(np.max(np.abs(X))) - gamma),
-        nuclear_norm=nuclear_norm(X),
-        maxnorm_upper_bound=_maxnorm_bound_via_svd(X),
-    )
     return FitResult(estimate=X, objective_trace=trace,
                      iterations=len(trace) - 1, converged=converged,
-                     feasibility_report=report, runtime_ms=work)
+                     feasibility_report=_feasibility_report(X, gamma,
+                                                            _thin_svd(X)),
+                     runtime_ms=work)
 
 
 def _project_ball_box(Z: np.ndarray, radius: float, gamma: float,
@@ -270,16 +277,14 @@ def solve_nuclear_constrained(samples: SampleSet, config: SolverConfig) -> FitRe
         return _project_ball_box(X - step * grad, radius, gamma), 0.0
 
     X, trace, converged, work = _proximal_descent(samples, config, candidate)
-    if nuclear_norm(X) > radius * (1 + 1e-9):
+    triple = _thin_svd(X)
+    if triple[1].sum() > radius * (1 + 1e-9):
         X = _project_ball_box(X, radius, gamma)
-    report = FeasibilityReport(
-        inf_norm_violation=max(0.0, float(np.max(np.abs(X))) - gamma),
-        nuclear_norm=nuclear_norm(X),
-        maxnorm_upper_bound=_maxnorm_bound_via_svd(X),
-    )
+        triple = _thin_svd(X)
     return FitResult(estimate=X, objective_trace=trace,
                      iterations=len(trace) - 1, converged=converged,
-                     feasibility_report=report, runtime_ms=work)
+                     feasibility_report=_feasibility_report(X, gamma, triple),
+                     runtime_ms=work)
 
 
 @dataclass

@@ -4,6 +4,14 @@ Everything here operates on full dense matrices through LAPACK; the problem
 sizes this package targets (a few hundred per side) make truncated or
 randomized decompositions unnecessary, and dense determinism keeps runs
 reproducible.
+
+Only the public svd() fixes the signs of the singular vectors (see its
+docstring).  svt_prox, project_nuclear_ball and the solvers' prox steps and
+feasibility reports rebuild a matrix from its singular triple or read
+quantities that do not depend on signs, so they call the sign-free
+_thin_svd: flipping a (left, right) pair negates both factors exactly, and
+every reconstruction is the same bit for bit either way.  nuclear_norm asks
+LAPACK for singular values only.
 """
 
 from dataclasses import dataclass
@@ -23,28 +31,39 @@ class SvdTriple:
         return (self.left * self.singular_values) @ self.right.T
 
 
-def svd(X: np.ndarray) -> SvdTriple:
-    """Thin SVD with signs fixed so each left vector's first nonzero entry is >= 0.
+def _thin_svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LAPACK thin SVD (u, s, vt) of a finite matrix, signs as LAPACK left them.
 
-    numpy already returns descending singular values; the sign flip is applied
-    jointly to each (left, right) column pair so the reconstruction is
-    unchanged.
+    Raises ValueError on non-finite entries and ArithmeticError when LAPACK
+    does not converge.
     """
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise ValueError("svd requires finite entries")
     try:
-        u, s, vt = np.linalg.svd(X, full_matrices=False)
+        return np.linalg.svd(X, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"SVD failed to converge on {X.shape} matrix: {exc}")
-    v = vt.T
-    for k in range(s.size):
-        col = u[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-14 * max(1.0, np.max(np.abs(col))))[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, k] = -u[:, k]
-            v[:, k] = -v[:, k]
-    return SvdTriple(left=u, singular_values=s, right=v)
+
+
+def svd(X: np.ndarray) -> SvdTriple:
+    """Thin SVD with signs fixed so each left vector's first nonzero entry is >= 0.
+
+    An entry of a left vector counts as nonzero when its magnitude exceeds
+    1e-14 * max(1, largest magnitude in that vector); a vector with no such
+    entry keeps LAPACK's sign.  numpy already returns descending singular
+    values; the sign flip is applied jointly to each (left, right) column pair
+    so the reconstruction is unchanged.
+    """
+    u, s, vt = _thin_svd(X)
+    if s.size:
+        mag = np.abs(u)
+        nonzero = mag > 1e-14 * np.maximum(1.0, mag.max(axis=0))
+        lead = u[np.argmax(nonzero, axis=0), np.arange(s.size)]
+        flip = nonzero.any(axis=0) & (lead < 0)
+        u[:, flip] *= -1.0
+        vt[flip] *= -1.0
+    return SvdTriple(left=u, singular_values=s, right=vt.T)
 
 
 def nuclear_norm(X: np.ndarray) -> float:
@@ -59,9 +78,8 @@ def svt_prox(Z: np.ndarray, tau: float) -> np.ndarray:
     """
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
-    t = svd(Z)
-    shrunk = np.maximum(t.singular_values - tau, 0.0)
-    return (t.left * shrunk) @ t.right.T
+    u, s, vt = _thin_svd(Z)
+    return (u * np.maximum(s - tau, 0.0)) @ vt
 
 
 def project_nuclear_ball(Z: np.ndarray, radius: float) -> np.ndarray:
@@ -73,12 +91,10 @@ def project_nuclear_ball(Z: np.ndarray, radius: float) -> np.ndarray:
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    t = svd(Z)
-    s = t.singular_values
+    u, s, vt = _thin_svd(Z)
     if s.sum() <= radius:
         return np.asarray(Z, dtype=float)
-    projected = _project_simplex(s, radius)
-    return (t.left * projected) @ t.right.T
+    return (u * _project_simplex(s, radius)) @ vt
 
 
 def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:

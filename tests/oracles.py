@@ -3,6 +3,8 @@
 The 2x2 grid-search oracle evaluates objectives on dense point grids that
 zoom toward the best feasible point; it shares no code with the solvers (the
 likelihood and nuclear norm are recomputed from scratch on flat arrays).
+The SVD sign convention, the scatter-add gradient and the balanced-factor
+max-norm bound are kept here in their plain per-column / per-sample forms.
 """
 
 import numpy as np
@@ -113,3 +115,39 @@ def fd_gradient(fn, X, h=1e-5):
             xm[i, j] -= h
             G[i, j] = (fn(xp) - fn(xm)) / (2.0 * h)
     return G
+
+
+def signed_svd(X):
+    """Thin SVD (left, values, right) with the sign convention as a column loop.
+
+    Each (left, right) pair is negated when the left vector's first entry
+    above 1e-14 * max(1, its largest magnitude) is negative.
+    """
+    u, s, vt = np.linalg.svd(np.asarray(X, dtype=float), full_matrices=False)
+    v = vt.T
+    for k in range(s.size):
+        col = u[:, k]
+        nz = np.nonzero(np.abs(col) > 1e-14 * max(1.0, np.max(np.abs(col))))[0]
+        if nz.size and col[nz[0]] < 0:
+            u[:, k] = -u[:, k]
+            v[:, k] = -v[:, k]
+    return u, s, v
+
+
+def scatter_gradient(X, samples):
+    """Likelihood gradient accumulated sample by sample with np.add.at."""
+    z = X[samples.rows, samples.cols]
+    p = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
+                 np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    grad = np.zeros(X.shape)
+    np.add.at(grad, (samples.rows, samples.cols), p - (samples.labels == 1))
+    grad /= samples.n
+    return grad
+
+
+def balanced_maxnorm_bound(X):
+    """Largest row norm of U sqrt(S) times that of V sqrt(S), from signed_svd."""
+    u, s, v = signed_svd(X)
+    root = np.sqrt(s)
+    return float(np.linalg.norm(u * root, axis=1).max()
+                 * np.linalg.norm(v * root, axis=1).max())

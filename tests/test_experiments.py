@@ -9,6 +9,7 @@ from onebitmc import (CellKey, Shape, SolverConfig, SweepConfig,
                       replicate_seed, risk_report, run_cell, run_sweep,
                       sample_observations, solve_nuclear_penalized,
                       sweep_cells, sweep_config_from_dict)
+import onebitmc.experiments
 from onebitmc.experiments import CSV_COLUMNS
 from onebitmc.seeding import (TAG_SAMPLES, TAG_SOLVER, TAG_TRUTH, make_rng,
                               mix_seed)
@@ -194,6 +195,35 @@ class TestRunSweep:
             mean = np.mean([float(r["excess"]) for r in reps])
             assert float(agg["excess"]) == pytest.approx(mean, abs=1e-12)
             assert agg["replicate"] == "" and agg["seed"] == ""
+
+    def test_arithmetic_error_fails_one_replicate(self, tmp_path, monkeypatch):
+        config = small_config(replicates=5)
+        clean, broken = tmp_path / "clean.csv", tmp_path / "broken.csv"
+        run_sweep(config, clean)
+        solve = onebitmc.experiments._SOLVER_FNS["nuclear_constrained"]
+        calls = []
+
+        def failing_second_call(samples, cfg):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ArithmeticError("SVD failed to converge")
+            return solve(samples, cfg)
+
+        monkeypatch.setitem(onebitmc.experiments._SOLVER_FNS,
+                            "nuclear_constrained", failing_second_call)
+        run_sweep(config, broken)
+        old, new = clean.read_text().splitlines(), broken.read_text().splitlines()
+        assert len(old) == len(new) == 1 + 2 * 6
+        # row 0 is the header; the first cell's replicate 1 is row 2 and its
+        # aggregate, now a mean over four replicates, is row 6
+        assert new[2].split(",")[CSV_COLUMNS.index("converged")] == "failed"
+        assert [r for i, r in enumerate(new) if i not in (2, 6)] == \
+            [r for i, r in enumerate(old) if i not in (2, 6)]
+        rows = read_sweep_rows(broken)
+        survivors = [float(r["excess"]) for r in rows[:5] if r["excess"]]
+        assert len(survivors) == 4
+        assert float(rows[5]["excess"]) == pytest.approx(np.mean(survivors),
+                                                         abs=1e-12)
 
     def test_unwritable_path_fails_before_compute(self, tmp_path):
         with pytest.raises(OSError):

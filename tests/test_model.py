@@ -8,7 +8,7 @@ from onebitmc import (Shape, generate_truth, logistic_link,
                       neg_log_likelihood, nll_gradient, sample_observations)
 from onebitmc.seeding import make_rng
 
-from oracles import fd_gradient
+from oracles import fd_gradient, scatter_gradient
 
 
 class TestLogisticLink:
@@ -240,3 +240,11 @@ class TestNllGradient:
         s = sample_observations(t, 10, "iid_uniform", 2)
         with pytest.raises(ValueError):
             nll_gradient(np.zeros((5, 4)), s)
+
+    def test_bit_equal_to_scatter_add_with_repeats(self):
+        # 3000 draws over 7x5 entries: every entry is hit many times, in an
+        # order that interleaves entries
+        rng = make_rng(17)
+        X, s = _random_problem(rng, m1=7, m2=5, n=3000)
+        assert np.unique(s.indices, axis=0).shape[0] < s.n
+        assert np.array_equal(nll_gradient(X, s), scatter_gradient(X, s))

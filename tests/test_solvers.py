@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from onebitmc import (SampleSet, Shape, SolverConfig, bayes_classifier,
                       clip_entries, generate_truth, neg_log_likelihood,
@@ -142,6 +143,23 @@ class TestNuclearConstrained:
             radius = 0.6 * math.sqrt(1 * 36)
             assert fit.feasibility_report.nuclear_norm <= radius * (1 + 1e-6)
             assert np.max(np.abs(fit.estimate)) <= 0.6
+
+
+class TestFeasibilityReport:
+    @pytest.mark.parametrize("solver, lam", [(solve_nuclear_penalized, 0.02),
+                                             (solve_nuclear_constrained, 0.0)])
+    def test_figures_from_one_svd(self, solver, lam):
+        for seed in range(3):
+            _, samples = make_problem(m1=8, m2=6, seed=seed, n=120)
+            fit = solver(samples, SolverConfig(gamma=1.5, rank_hint=1, lam=lam,
+                                               max_iters=200))
+            X, rep = fit.estimate, fit.feasibility_report
+            assert rep.nuclear_norm == pytest.approx(
+                scipy.linalg.svdvals(X).sum(), rel=1e-10)
+            assert rep.maxnorm_upper_bound == pytest.approx(
+                oracles.balanced_maxnorm_bound(X), rel=1e-12)
+            assert rep.inf_norm_violation == max(
+                0.0, float(np.max(np.abs(X))) - 1.5)
 
 
 class TestMaxnormConstrained:

@@ -4,6 +4,9 @@ import pytest
 from onebitmc import (Shape, clip_entries, generate_truth, nuclear_norm,
                       project_factor_rows, project_nuclear_ball, svd, svt_prox)
 from onebitmc.seeding import make_rng
+from onebitmc.spectral import _project_simplex
+
+import oracles
 
 
 def random_orthogonal(rng, n):
@@ -48,6 +51,58 @@ class TestSvd:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             svd(np.array([[1.0, np.nan]]))
+
+
+def sign_convention_inputs():
+    """Named matrices on which the sign convention has edge cases to get right."""
+    rng = make_rng(13)
+    block = np.zeros((6, 6))
+    block[:2, :2] = [[3.0, 1.0], [1.0, -2.0]]
+    block[2:, 2:] = -rng.standard_normal((4, 4))
+    tiny_lead = rng.standard_normal((6, 5))
+    tiny_lead[0] = 1e-17 * rng.standard_normal(5)
+    rank_deficient = rng.standard_normal((7, 2)) @ rng.standard_normal((2, 5))
+    return {"block_diagonal": block, "tiny_leading_entries": tiny_lead,
+            "zero": np.zeros((5, 4)), "rank_deficient": rank_deficient,
+            "wide": rng.standard_normal((4, 9)),
+            "tall": rng.standard_normal((9, 4))}
+
+
+class TestSignConvention:
+    @pytest.mark.parametrize("name", sorted(sign_convention_inputs()))
+    def test_matches_column_loop_exactly(self, name):
+        X = sign_convention_inputs()[name]
+        t = svd(X)
+        left, values, right = oracles.signed_svd(X)
+        assert np.array_equal(t.left, left)
+        assert np.array_equal(t.singular_values, values)
+        assert np.array_equal(t.right, right)
+
+    def test_inputs_reach_every_branch(self):
+        # some column is flipped, some is not, and on the tiny-lead input the
+        # leading entry below the threshold is not the one that decides
+        flipped = kept = 0
+        for X in sign_convention_inputs().values():
+            raw = np.linalg.svd(X, full_matrices=False)[0]
+            same = np.all(raw == svd(X).left, axis=0)
+            kept += int(same.sum())
+            flipped += int((~same).sum())
+        assert flipped and kept
+        X = sign_convention_inputs()["tiny_leading_entries"]
+        left = svd(X).left
+        assert np.any(left[0] < 0) and np.all(left[1] >= 0)
+
+    def test_prox_and_projection_equal_rebuild_from_public_svd(self):
+        rng = make_rng(14)
+        for shape in ((6, 6), (4, 9), (9, 4)):
+            Z = rng.standard_normal(shape) * 2.0
+            t = svd(Z)
+            shrunk = np.maximum(t.singular_values - 0.8, 0.0)
+            assert np.array_equal(svt_prox(Z, 0.8),
+                                  (t.left * shrunk) @ t.right.T)
+            projected = _project_simplex(t.singular_values, 2.5)
+            assert np.array_equal(project_nuclear_ball(Z, 2.5),
+                                  (t.left * projected) @ t.right.T)
 
 
 class TestSvtProx:
