@@ -24,13 +24,7 @@ from .matrixio import (read_matrix, read_samples, read_truth, write_matrix,
 from .model import GENERATORS, SCHEMES, Shape, generate_truth, sample_observations
 from .risk import risk_report
 from .seeding import mix_seed, TAG_SAMPLES
-from .solvers import (ESTIMATORS, SolverConfig, SolverNumericalError,
-                      solve_maxnorm_constrained, solve_nuclear_constrained,
-                      solve_nuclear_penalized)
-
-_SOLVER_FNS = {"nuclear_penalized": solve_nuclear_penalized,
-               "nuclear_constrained": solve_nuclear_constrained,
-               "maxnorm_constrained": solve_maxnorm_constrained}
+from .solvers import ESTIMATORS, SOLVERS, SolverConfig, SolverNumericalError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,7 +141,7 @@ def _cmd_fit(args) -> int:
                           max_iters=args.max_iters, rel_tol=args.rel_tol,
                           factor_width=args.factor_width,
                           restarts=args.restarts, seed=args.seed)
-    result = _SOLVER_FNS[args.estimator](samples, config)
+    result = SOLVERS[args.estimator](samples, config)
     write_matrix(args.out, result.estimate,
                  {"estimator": args.estimator, "gamma": f"{gamma:.17g}",
                   "r": rank})

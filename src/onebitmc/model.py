@@ -8,7 +8,7 @@ estimators in :mod:`onebitmc.solvers` minimize the negative mean log-likelihood
 of such samples.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,6 +94,10 @@ class SampleSet:
     def cols(self) -> np.ndarray:
         return self.indices[:, 1]
 
+    def take(self, idx) -> "SampleSet":
+        """The samples at positions idx, in that order; scheme, seed and shape kept."""
+        return replace(self, indices=self.indices[idx], labels=self.labels[idx])
+
 
 def logistic_link(x):
     """Logistic function exp(x) / (1 + exp(x)), computed without overflow.
@@ -105,11 +109,15 @@ def logistic_link(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("logistic_link requires finite input")
-    z = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    out = _link(arr, np.exp(-np.abs(arr)))
     if np.ndim(x) == 0:
         return float(out)
     return out
+
+
+def _link(x, e):
+    """logistic_link(x) from x and e = exp(-|x|)."""
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def generate_truth(shape: Shape, r: int, gamma: float, generator: str,
@@ -219,9 +227,7 @@ def neg_log_likelihood(X: np.ndarray, samples: SampleSet) -> float:
     evaluated as max(-yx, 0) + log1p(exp(-|yx|)) so the link value is never
     materialized near 0 or 1.
     """
-    X = _check_matrix(X, samples)
-    z = samples.labels * X[samples.rows, samples.cols]
-    return float(np.mean(np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))))
+    return _nll_terms(X, samples)[0]
 
 
 def nll_gradient(X: np.ndarray, samples: SampleSet) -> np.ndarray:
@@ -230,10 +236,27 @@ def nll_gradient(X: np.ndarray, samples: SampleSet) -> np.ndarray:
     Entry (a, b) accumulates (link(X_ab) - 1{y=+1}) / n over the samples that
     hit it; unsampled entries stay zero.
     """
+    return _nll_gradient_from_terms(_nll_terms(X, samples), samples)
+
+
+def _nll_terms(X: np.ndarray, samples: SampleSet):
+    """Likelihood of X with the terms its gradient reuses: (loss, x, e).
+
+    x holds the sampled entries of X and e = exp(-|x|).  Since y = +-1,
+    |y x| = |x| exactly, so the loss and the link share the same e.
+    """
     X = _check_matrix(X, samples)
-    p = logistic_link(X[samples.rows, samples.cols])
-    resid = p - (samples.labels == 1)
-    m1, m2 = X.shape
+    x = X[samples.rows, samples.cols]
+    e = np.exp(-np.abs(x))
+    z = samples.labels * x
+    return float(np.mean(np.maximum(-z, 0.0) + np.log1p(e))), x, e
+
+
+def _nll_gradient_from_terms(terms, samples: SampleSet) -> np.ndarray:
+    """:func:`nll_gradient` at the matrix whose :func:`_nll_terms` are terms."""
+    _, x, e = terms
+    resid = _link(x, e) - (samples.labels == 1)
+    m1, m2 = samples.shape.m1, samples.shape.m2
     # bincount adds the weights in sample order, as a scatter-add would
     grad = np.bincount(samples.rows * m2 + samples.cols, weights=resid,
                        minlength=m1 * m2).reshape(m1, m2)

@@ -19,7 +19,11 @@ itself, and the CLI fit command, return the penalized minimizer.
 
 All three use backtracking line search whose acceptance rule requires the
 objective not to increase, so objective traces are nonincreasing by
-construction.  Every solve is deterministic given (samples, config); the
+construction.  The penalized and constrained solvers share one descent loop
+whose step only shrinks; the factor loop of the max-norm solver and the refit
+lets each factor's step grow back between iterations.  Every loop builds the
+next gradient from the likelihood terms of the candidate it accepted.  Every
+solve is deterministic given (samples, config); the
 FitResult.runtime_ms field is a deterministic work counter (likelihood and
 gradient evaluations), not wall-clock time, so repeated runs produce
 bit-identical results.
@@ -30,12 +34,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import SampleSet, Shape, neg_log_likelihood, nll_gradient
+from .model import (SampleSet, Shape, _nll_gradient_from_terms, _nll_terms,
+                    neg_log_likelihood, nll_gradient)
 from .seeding import TAG_SPLIT, make_rng, mix_seed
 from .spectral import (_thin_svd, clip_entries, nuclear_norm,
                        project_factor_rows, project_nuclear_ball, svd)
-
-ESTIMATORS = ("nuclear_penalized", "nuclear_constrained", "maxnorm_constrained")
 
 _ACCEPT_SLACK = 1e-12
 
@@ -55,7 +58,10 @@ class SolverConfig:
     gamma and rank_hint are the generator's amplitude bound and rank budget,
     taken as known.  lam only affects the penalized solver; factor_width and
     restarts only the max-norm solver.  factor_width defaults to twice the
-    rank hint when left unset.
+    rank hint when left unset.  backtrack_factor shrinks a rejected step; in
+    the penalized and constrained solvers nothing grows it again, while the
+    factor steps of the max-norm solver and the refit start each iteration
+    at the last step divided by it, capped at the initial step.
     """
 
     gamma: float
@@ -152,34 +158,52 @@ def _feasibility_report(X: np.ndarray, gamma: float,
         maxnorm_upper_bound=float(lu * rv))
 
 
+def _gradient(X: np.ndarray, terms, samples: SampleSet) -> np.ndarray:
+    """Likelihood gradient at X.
+
+    terms are the _nll_terms of X when X is an accepted candidate, and the
+    gradient reuses them.  A loop's starting point has none (terms is None):
+    its likelihood and gradient go through the public neg_log_likelihood and
+    nll_gradient, the names bench/tracing.py wraps, so every fit still shows
+    in the per-layer counts.
+    """
+    if terms is None:
+        return nll_gradient(X, samples)
+    return _nll_gradient_from_terms(terms, samples)
+
+
 def _proximal_descent(samples: SampleSet, config: SolverConfig, candidate):
     """Monotone backtracking descent from the zero matrix.
 
     candidate(X, grad, step) must return (next iterate, nonsmooth penalty at
     the next iterate).  A trial step is accepted only if the smooth part
     satisfies the quadratic-majorization bound and the full objective does not
-    increase; otherwise the step is shrunk.  When no step achieves descent the
-    iterate is declared converged.
+    increase; otherwise the step is shrunk by backtrack_factor.  The step
+    never grows: each iteration starts at the last accepted step (Beck and
+    Teboulle's monotone backtracking), so a whole fit rejects at most
+    log(1e-16) / log(backtrack_factor) candidates (54 at the default 0.5)
+    before the step falls below its floor.  When no step achieves descent
+    the iterate is declared converged.
     """
     shape = samples.shape
     X = np.zeros((shape.m1, shape.m2))
     work = 1
     g_cur = neg_log_likelihood(X, samples)
+    terms = None
     f_cur = g_cur  # both penalties vanish at zero
     trace = [f_cur]
-    step0 = config.effective_step_init(samples.n)
-    step = step0
-    step_floor = step0 * 1e-16
+    step = config.effective_step_init(samples.n)
+    step_floor = step * 1e-16
     converged = False
 
     for _ in range(config.max_iters):
-        grad = nll_gradient(X, samples)
+        grad = _gradient(X, terms, samples)
         work += 1
-        step = min(step / config.backtrack_factor, step0)
         accepted = False
         while step >= step_floor:
             xc, penalty = candidate(X, grad, step)
-            g_new = neg_log_likelihood(xc, samples)
+            xc_terms = _nll_terms(xc, samples)
+            g_new = xc_terms[0]
             work += 1
             if not (np.isfinite(g_new) and np.isfinite(penalty)):
                 raise SolverNumericalError("non-finite objective during descent",
@@ -196,7 +220,7 @@ def _proximal_descent(samples: SampleSet, config: SolverConfig, candidate):
         if not accepted:
             converged = True
             break
-        X, g_cur = xc, g_new
+        X, g_cur, terms = xc, g_new, xc_terms
         f_prev, f_cur = f_cur, f_new
         trace.append(f_cur)
         if abs(f_cur - f_prev) <= config.rel_tol * max(1.0, abs(f_prev)):
@@ -298,15 +322,23 @@ class _FactorRun:
 
 
 def _half_step(state, factor_grad, project, rebuild, samples, config, step, work):
-    """One backtracking projected-gradient step on a single factor."""
-    factor, x_cur, g_cur = state
+    """One backtracking projected-gradient step on a single factor.
+
+    state is (factor, product, likelihood, likelihood terms of the product).
+    The step first grows back by 1 / backtrack_factor, capped at the initial
+    step, then shrinks until a candidate is accepted: the right step for one
+    factor changes as the other factor moves, and a step that only shrank
+    was measured to take two to four times the iterations here.
+    """
+    factor, _, g_cur, _ = state
     step0 = config.effective_step_init(samples.n)
     step = min(step / config.backtrack_factor, step0)
     step_floor = step0 * 1e-16
     while step >= step_floor:
         trial = project(factor - step * factor_grad)
         x_try = rebuild(trial)
-        g_try = neg_log_likelihood(x_try, samples)
+        terms = _nll_terms(x_try, samples)
+        g_try = terms[0]
         work += 1
         if not np.isfinite(g_try):
             raise SolverNumericalError("non-finite objective in factor step")
@@ -315,7 +347,7 @@ def _half_step(state, factor_grad, project, rebuild, samples, config, step, work
                             + float(np.vdot(diff, diff)) / (2.0 * step)
                             + _ACCEPT_SLACK)
         if quad_ok and g_try <= g_cur + _ACCEPT_SLACK:
-            return (trial, x_try, g_try), step, True, work
+            return (trial, x_try, g_try, terms), step, True, work
         step *= config.backtrack_factor
     return state, step, False, work
 
@@ -355,26 +387,27 @@ def _fit_factors(samples: SampleSet, config: SolverConfig, U: np.ndarray,
     X = U @ V.T
     work = 1
     g_cur = neg_log_likelihood(X, samples)
+    terms = None
     trace = [g_cur]
     step_u = step_v = config.effective_step_init(samples.n)
     converged = False
 
     for _ in range(config.max_iters):
-        grad_mat = nll_gradient(X, samples)
+        grad_mat = _gradient(X, terms, samples)
         work += 1
         state, step_u, moved_u, work = _half_step(
-            (U, X, g_cur), grad_mat @ V,
+            (U, X, g_cur, terms), grad_mat @ V,
             lambda F: project_factor_rows(F, row_bound),
             lambda F: F @ V.T, samples, config, step_u, work)
-        U, X, g_cur = state
+        U, X, g_cur, terms = state
 
-        grad_mat = nll_gradient(X, samples)
+        grad_mat = _gradient(X, terms, samples)
         work += 1
         state, step_v, moved_v, work = _half_step(
-            (V, X, g_cur), grad_mat.T @ U,
+            (V, X, g_cur, terms), grad_mat.T @ U,
             lambda F: project_factor_rows(F, row_bound),
             lambda F: U @ F.T, samples, config, step_v, work)
-        V, X, g_cur = state
+        V, X, g_cur, terms = state
 
         g_prev = trace[-1]
         trace.append(g_cur)
@@ -482,14 +515,7 @@ def select_lambda(samples: SampleSet, config: SolverConfig, grid) -> float:
     perm = make_rng(mix_seed(config.seed, TAG_SPLIT)).permutation(samples.n)
     n_fit = (4 * samples.n) // 5
     fit_idx, hold_idx = perm[:n_fit], perm[n_fit:]
-    fit_set = SampleSet(indices=samples.indices[fit_idx],
-                        labels=samples.labels[fit_idx],
-                        scheme=samples.scheme, seed=samples.seed,
-                        shape=samples.shape)
-    hold_set = SampleSet(indices=samples.indices[hold_idx],
-                         labels=samples.labels[hold_idx],
-                         scheme=samples.scheme, seed=samples.seed,
-                         shape=samples.shape)
+    fit_set, hold_set = samples.take(fit_idx), samples.take(hold_idx)
 
     best_lam = None
     best_loss = math.inf
@@ -499,3 +525,10 @@ def select_lambda(samples: SampleSet, config: SolverConfig, grid) -> float:
         if loss <= best_loss:
             best_lam, best_loss = lam, loss
     return best_lam
+
+
+# estimator name -> solve function; ESTIMATORS lists the names in this order
+SOLVERS = {"nuclear_penalized": solve_nuclear_penalized,
+           "nuclear_constrained": solve_nuclear_constrained,
+           "maxnorm_constrained": solve_maxnorm_constrained}
+ESTIMATORS = tuple(SOLVERS)

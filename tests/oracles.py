@@ -4,10 +4,13 @@ The 2x2 grid-search oracle evaluates objectives on dense point grids that
 zoom toward the best feasible point; it shares no code with the solvers (the
 likelihood and nuclear norm are recomputed from scratch on flat arrays).
 The SVD sign convention, the scatter-add gradient and the balanced-factor
-max-norm bound are kept here in their plain per-column / per-sample forms.
+max-norm bound are kept here in their plain per-column / per-sample forms,
+and the solvers' stepping policy as plain gradient descent.
 """
 
 import numpy as np
+
+from onebitmc import neg_log_likelihood, nll_gradient
 
 
 def softplus(z):
@@ -151,3 +154,41 @@ def balanced_maxnorm_bound(X):
     root = np.sqrt(s)
     return float(np.linalg.norm(u * root, axis=1).max()
                  * np.linalg.norm(v * root, axis=1).max())
+
+
+def gradient_descent_reference(samples, config):
+    """Unconstrained gradient descent from zero with the solvers' stepping policy.
+
+    A step is accepted when the quadratic-majorization bound holds and the
+    likelihood does not rise; a rejected step is multiplied by
+    backtrack_factor and the step never grows again.  Stops when no step
+    above step0 * 1e-16 descends, on a small relative change, or after
+    max_iters accepted steps.  Returns (X, objective trace).
+    """
+    X = np.zeros((samples.shape.m1, samples.shape.m2))
+    f_cur = neg_log_likelihood(X, samples)
+    step0 = config.effective_step_init(samples.n)
+    step = step0
+    trace = [f_cur]
+    for _ in range(config.max_iters):
+        grad = nll_gradient(X, samples)
+        accepted = False
+        while step >= step0 * 1e-16:
+            xc = X - step * grad
+            f_new = neg_log_likelihood(xc, samples)
+            diff = xc - X
+            quad_ok = f_new <= (f_cur + float(np.vdot(grad, diff))
+                                + float(np.vdot(diff, diff)) / (2 * step)
+                                + 1e-12)
+            if quad_ok and f_new <= f_cur + 1e-12:
+                accepted = True
+                break
+            step *= config.backtrack_factor
+        if not accepted:
+            break
+        X = xc
+        f_prev, f_cur = f_cur, f_new
+        trace.append(f_cur)
+        if abs(f_cur - f_prev) <= config.rel_tol * max(1.0, abs(f_prev)):
+            break
+    return X, trace

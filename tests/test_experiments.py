@@ -10,6 +10,7 @@ from onebitmc import (CellKey, Shape, SolverConfig, SweepConfig,
                       sample_observations, solve_nuclear_penalized,
                       sweep_cells, sweep_config_from_dict)
 import onebitmc.experiments
+import onebitmc.solvers
 from onebitmc.experiments import CSV_COLUMNS
 from onebitmc.seeding import (TAG_SAMPLES, TAG_SOLVER, TAG_TRUTH, make_rng,
                               mix_seed)
@@ -200,7 +201,7 @@ class TestRunSweep:
         config = small_config(replicates=5)
         clean, broken = tmp_path / "clean.csv", tmp_path / "broken.csv"
         run_sweep(config, clean)
-        solve = onebitmc.experiments._SOLVER_FNS["nuclear_constrained"]
+        solve = onebitmc.solvers.SOLVERS["nuclear_constrained"]
         calls = []
 
         def failing_second_call(samples, cfg):
@@ -209,7 +210,7 @@ class TestRunSweep:
                 raise ArithmeticError("SVD failed to converge")
             return solve(samples, cfg)
 
-        monkeypatch.setitem(onebitmc.experiments._SOLVER_FNS,
+        monkeypatch.setitem(onebitmc.solvers.SOLVERS,
                             "nuclear_constrained", failing_second_call)
         run_sweep(config, broken)
         old, new = clean.read_text().splitlines(), broken.read_text().splitlines()

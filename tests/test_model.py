@@ -6,9 +6,10 @@ from scipy import stats
 
 from onebitmc import (Shape, generate_truth, logistic_link,
                       neg_log_likelihood, nll_gradient, sample_observations)
+from onebitmc.model import _nll_gradient_from_terms, _nll_terms
 from onebitmc.seeding import make_rng
 
-from oracles import fd_gradient, scatter_gradient
+from oracles import fd_gradient, scatter_gradient, softplus
 
 
 class TestLogisticLink:
@@ -90,6 +91,32 @@ class TestGenerateTruth:
         a = generate_truth(Shape(8, 8), 2, 1.0, "gaussian_factor", 77)
         b = generate_truth(Shape(8, 8), 2, 1.0, "gaussian_factor", 77)
         assert np.array_equal(a.entries, b.entries)
+
+
+class TestSampleSetTake:
+    def test_selects_in_the_given_order(self):
+        t = generate_truth(Shape(4, 5), 1, 1.0, "block_sign", 1)
+        s = sample_observations(t, 12, "iid_uniform", 2)
+        idx = np.array([7, 0, 7, 11, 3])
+        part = s.take(idx)
+        assert np.array_equal(part.indices, s.indices[idx])
+        assert np.array_equal(part.labels, s.labels[idx])
+        assert part.indices.dtype == s.indices.dtype
+        assert part.labels.dtype == s.labels.dtype
+        assert (part.scheme, part.seed, part.shape, part.n) == \
+            (s.scheme, s.seed, s.shape, 5)
+
+    def test_split_covers_the_samples_and_leaves_them_unchanged(self):
+        t = generate_truth(Shape(8, 8), 2, 1.0, "gaussian_factor", 3)
+        s = sample_observations(t, 40, "bernoulli_mask", 4)
+        before = s.indices.copy()
+        perm = make_rng(5).permutation(s.n)
+        head, tail = s.take(perm[:30]), s.take(perm[30:])
+        assert head.n + tail.n == s.n
+        merged = np.concatenate([head.indices, tail.indices])
+        assert np.array_equal(merged[np.argsort(perm)], s.indices)
+        assert np.array_equal(s.indices, before)
+        assert s.take(np.arange(0)).n == 0
 
 
 class TestSampleObservations:
@@ -248,3 +275,21 @@ class TestNllGradient:
         X, s = _random_problem(rng, m1=7, m2=5, n=3000)
         assert np.unique(s.indices, axis=0).shape[0] < s.n
         assert np.array_equal(nll_gradient(X, s), scatter_gradient(X, s))
+
+    def test_gradient_from_carried_terms_is_bit_equal(self):
+        # repeated indices, sampled entries exactly 0 and at +-30 (where the
+        # link saturates), so every branch of the link is taken
+        rng = make_rng(23)
+        X, s = _random_problem(rng, m1=6, m2=4, n=400)
+        assert np.unique(s.indices, axis=0).shape[0] < s.n
+        X[0, :] = 0.0
+        X[1, :2], X[1, 2:] = 30.0, -30.0
+        X[2, 0], X[2, 1] = -0.0, 30.0
+        x = X[s.rows, s.cols]
+        assert (x == 0).any() and (x == 30).any() and (x == -30).any()
+        terms = _nll_terms(X, s)
+        grad = _nll_gradient_from_terms(terms, s)
+        assert grad.tobytes() == nll_gradient(X, s).tobytes()
+        assert grad.tobytes() == scatter_gradient(X, s).tobytes()
+        assert terms[0] == neg_log_likelihood(X, s)
+        assert terms[0] == float(np.mean(softplus(s.labels * x)))

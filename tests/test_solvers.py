@@ -91,34 +91,7 @@ class TestNuclearConstrained:
         fit = solve_nuclear_constrained(samples, cfg)
 
         # plain gradient descent with the identical stepping policy
-        X = np.zeros((6, 6))
-        g_cur = neg_log_likelihood(X, samples)
-        f_cur = g_cur
-        step0 = cfg.effective_step_init(samples.n)
-        step = step0
-        trace = [f_cur]
-        for _ in range(cfg.max_iters):
-            grad = nll_gradient(X, samples)
-            step = min(step / cfg.backtrack_factor, step0)
-            accepted = False
-            while step >= step0 * 1e-16:
-                xc = X - step * grad
-                g_new = neg_log_likelihood(xc, samples)
-                diff = xc - X
-                quad_ok = g_new <= (g_cur + float(np.vdot(grad, diff))
-                                    + float(np.vdot(diff, diff)) / (2 * step)
-                                    + 1e-12)
-                if quad_ok and g_new <= f_cur + 1e-12:
-                    accepted = True
-                    break
-                step *= cfg.backtrack_factor
-            if not accepted:
-                break
-            X, g_cur = xc, g_new
-            f_prev, f_cur = f_cur, g_new
-            trace.append(f_cur)
-            if abs(f_cur - f_prev) <= cfg.rel_tol * max(1.0, abs(f_prev)):
-                break
+        X, trace = oracles.gradient_descent_reference(samples, cfg)
 
         assert np.max(np.abs(fit.estimate - X)) <= 1e-8
         assert np.allclose(fit.objective_trace, trace, atol=1e-12)
@@ -143,6 +116,47 @@ class TestNuclearConstrained:
             radius = 0.6 * math.sqrt(1 * 36)
             assert fit.feasibility_report.nuclear_norm <= radius * (1 + 1e-6)
             assert np.max(np.abs(fit.estimate)) <= 0.6
+
+
+def rejected_candidates(fit, cfg):
+    """Candidates a penalized or constrained fit rejected, from its work counter.
+
+    runtime_ms counts the likelihood at the start, one gradient per started
+    iteration and one likelihood per candidate.  A fit that stopped because
+    no step descended started one iteration more than it accepted.
+    """
+    trace = fit.objective_trace
+    stalled = fit.iterations < cfg.max_iters and (
+        fit.iterations == 0 or abs(trace[-1] - trace[-2])
+        > cfg.rel_tol * max(1.0, abs(trace[-2])))
+    return fit.runtime_ms - 1 - 2 * fit.iterations - int(stalled)
+
+
+class TestBacktrackBudget:
+    """The step never grows, so a whole fit rejects at most 54 candidates.
+
+    Each rejection halves the step, and the search ends once the step falls
+    below step0 * 1e-16, after at most 54 halvings.
+    """
+
+    @staticmethod
+    def pinned(m, n):
+        truth = generate_truth(Shape(m, m), 2, 1.5, "block_sign", 1)
+        return sample_observations(truth, n, "iid_uniform", 101)
+
+    @pytest.mark.parametrize("m, n, lam", [(20, 200, 0.003), (30, 300, 0.002),
+                                           (30, 900, 0.002)])
+    def test_penalized(self, m, n, lam):
+        cfg = SolverConfig(gamma=1.5, rank_hint=2, lam=lam, max_iters=300)
+        fit = solve_nuclear_penalized(self.pinned(m, n), cfg)
+        assert fit.iterations >= 50
+        assert 0 <= rejected_candidates(fit, cfg) <= 54
+
+    def test_constrained(self):
+        cfg = SolverConfig(gamma=1.5, rank_hint=2, max_iters=300)
+        fit = solve_nuclear_constrained(self.pinned(30, 900), cfg)
+        assert fit.iterations >= 10
+        assert 0 <= rejected_candidates(fit, cfg) <= 54
 
 
 class TestFeasibilityReport:
