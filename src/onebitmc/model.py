@@ -109,15 +109,11 @@ def logistic_link(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("logistic_link requires finite input")
-    out = _link(arr, np.exp(-np.abs(arr)))
+    z = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
     if np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def _link(x, e):
-    """logistic_link(x) from x and e = exp(-|x|)."""
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def generate_truth(shape: Shape, r: int, gamma: float, generator: str,
@@ -227,7 +223,9 @@ def neg_log_likelihood(X: np.ndarray, samples: SampleSet) -> float:
     evaluated as max(-yx, 0) + log1p(exp(-|yx|)) so the link value is never
     materialized near 0 or 1.
     """
-    return _nll_terms(X, samples)[0]
+    X = _check_matrix(X, samples)
+    z = samples.labels * X[samples.rows, samples.cols]
+    return float(np.mean(np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))))
 
 
 def nll_gradient(X: np.ndarray, samples: SampleSet) -> np.ndarray:
@@ -236,27 +234,10 @@ def nll_gradient(X: np.ndarray, samples: SampleSet) -> np.ndarray:
     Entry (a, b) accumulates (link(X_ab) - 1{y=+1}) / n over the samples that
     hit it; unsampled entries stay zero.
     """
-    return _nll_gradient_from_terms(_nll_terms(X, samples), samples)
-
-
-def _nll_terms(X: np.ndarray, samples: SampleSet):
-    """Likelihood of X with the terms its gradient reuses: (loss, x, e).
-
-    x holds the sampled entries of X and e = exp(-|x|).  Since y = +-1,
-    |y x| = |x| exactly, so the loss and the link share the same e.
-    """
     X = _check_matrix(X, samples)
-    x = X[samples.rows, samples.cols]
-    e = np.exp(-np.abs(x))
-    z = samples.labels * x
-    return float(np.mean(np.maximum(-z, 0.0) + np.log1p(e))), x, e
-
-
-def _nll_gradient_from_terms(terms, samples: SampleSet) -> np.ndarray:
-    """:func:`nll_gradient` at the matrix whose :func:`_nll_terms` are terms."""
-    _, x, e = terms
-    resid = _link(x, e) - (samples.labels == 1)
-    m1, m2 = samples.shape.m1, samples.shape.m2
+    p = logistic_link(X[samples.rows, samples.cols])
+    resid = p - (samples.labels == 1)
+    m1, m2 = X.shape
     # bincount adds the weights in sample order, as a scatter-add would
     grad = np.bincount(samples.rows * m2 + samples.cols, weights=resid,
                        minlength=m1 * m2).reshape(m1, m2)

@@ -20,13 +20,12 @@ itself, and the CLI fit command, return the penalized minimizer.
 All three use backtracking line search whose acceptance rule requires the
 objective not to increase, so objective traces are nonincreasing by
 construction.  The penalized and constrained solvers share one descent loop
-whose step only shrinks; the factor loop of the max-norm solver and the refit
-lets each factor's step grow back between iterations.  Every loop builds the
-next gradient from the likelihood terms of the candidate it accepted.  Every
-solve is deterministic given (samples, config); the
-FitResult.runtime_ms field is a deterministic work counter (likelihood and
-gradient evaluations), not wall-clock time, so repeated runs produce
-bit-identical results.
+whose step grows back only after a run of iterations that accepted their
+first candidate; the factor loop of the max-norm solver and the refit lets
+each factor's step grow back before every iteration.  Every solve is
+deterministic given (samples, config); the FitResult.runtime_ms field is a
+deterministic work counter (likelihood and gradient evaluations), not
+wall-clock time, so repeated runs produce bit-identical results.
 """
 
 import math
@@ -34,8 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (SampleSet, Shape, _nll_gradient_from_terms, _nll_terms,
-                    neg_log_likelihood, nll_gradient)
+from .model import SampleSet, Shape, neg_log_likelihood, nll_gradient
 from .seeding import TAG_SPLIT, make_rng, mix_seed
 from .spectral import (_thin_svd, clip_entries, nuclear_norm,
                        project_factor_rows, project_nuclear_ball, svd)
@@ -58,10 +56,11 @@ class SolverConfig:
     gamma and rank_hint are the generator's amplitude bound and rank budget,
     taken as known.  lam only affects the penalized solver; factor_width and
     restarts only the max-norm solver.  factor_width defaults to twice the
-    rank hint when left unset.  backtrack_factor shrinks a rejected step; in
-    the penalized and constrained solvers nothing grows it again, while the
-    factor steps of the max-norm solver and the refit start each iteration
-    at the last step divided by it, capped at the initial step.
+    rank hint when left unset.  backtrack_factor shrinks a rejected step, and
+    a step that grows back is divided by it, capped at the initial step: in
+    the penalized and constrained solvers only after a run of iterations
+    that accepted their first candidate, in the factor steps of the max-norm
+    solver and the refit before every iteration.
     """
 
     gamma: float
@@ -158,52 +157,47 @@ def _feasibility_report(X: np.ndarray, gamma: float,
         maxnorm_upper_bound=float(lu * rv))
 
 
-def _gradient(X: np.ndarray, terms, samples: SampleSet) -> np.ndarray:
-    """Likelihood gradient at X.
-
-    terms are the _nll_terms of X when X is an accepted candidate, and the
-    gradient reuses them.  A loop's starting point has none (terms is None):
-    its likelihood and gradient go through the public neg_log_likelihood and
-    nll_gradient, the names bench/tracing.py wraps, so every fit still shows
-    in the per-layer counts.
-    """
-    if terms is None:
-        return nll_gradient(X, samples)
-    return _nll_gradient_from_terms(terms, samples)
-
-
 def _proximal_descent(samples: SampleSet, config: SolverConfig, candidate):
     """Monotone backtracking descent from the zero matrix.
 
     candidate(X, grad, step) must return (next iterate, nonsmooth penalty at
     the next iterate).  A trial step is accepted only if the smooth part
     satisfies the quadratic-majorization bound and the full objective does not
-    increase; otherwise the step is shrunk by backtrack_factor.  The step
-    never grows: each iteration starts at the last accepted step (Beck and
-    Teboulle's monotone backtracking), so a whole fit rejects at most
-    log(1e-16) / log(backtrack_factor) candidates (54 at the default 0.5)
-    before the step falls below its floor.  When no step achieves descent
-    the iterate is declared converged.
+    increase; otherwise the step is shrunk by backtrack_factor.
+
+    Each iteration starts at the last accepted step.  The step grows back
+    (divided by backtrack_factor, capped at the initial step) only once
+    `wait` iterations in a row accepted their first candidate; a grown step
+    that is rejected doubles `wait`, and one that is accepted resets it to 1.
+    Where the right step stays put, as in the penalized fits, a try to grow
+    mostly costs one rejected candidate, so tries soon become rare; where it
+    rises as the iterate moves, as in the constrained fits, the step keeps
+    growing.  When no step achieves descent the iterate is declared
+    converged.
     """
     shape = samples.shape
     X = np.zeros((shape.m1, shape.m2))
     work = 1
     g_cur = neg_log_likelihood(X, samples)
-    terms = None
     f_cur = g_cur  # both penalties vanish at zero
     trace = [f_cur]
-    step = config.effective_step_init(samples.n)
-    step_floor = step * 1e-16
+    step0 = config.effective_step_init(samples.n)
+    step = step0
+    step_floor = step0 * 1e-16
+    streak, wait = 0, 1
     converged = False
 
     for _ in range(config.max_iters):
-        grad = _gradient(X, terms, samples)
+        grad = nll_gradient(X, samples)
         work += 1
+        grow = streak >= wait and step < step0
+        if grow:
+            step = min(step / config.backtrack_factor, step0)
+        rejected = 0
         accepted = False
         while step >= step_floor:
             xc, penalty = candidate(X, grad, step)
-            xc_terms = _nll_terms(xc, samples)
-            g_new = xc_terms[0]
+            g_new = neg_log_likelihood(xc, samples)
             work += 1
             if not (np.isfinite(g_new) and np.isfinite(penalty)):
                 raise SolverNumericalError("non-finite objective during descent",
@@ -217,10 +211,14 @@ def _proximal_descent(samples: SampleSet, config: SolverConfig, candidate):
                 accepted = True
                 break
             step *= config.backtrack_factor
+            rejected += 1
+        if grow:
+            streak, wait = 0, (1 if rejected == 0 else 2 * wait)
+        streak = streak + 1 if rejected == 0 else 0
         if not accepted:
             converged = True
             break
-        X, g_cur, terms = xc, g_new, xc_terms
+        X, g_cur = xc, g_new
         f_prev, f_cur = f_cur, f_new
         trace.append(f_cur)
         if abs(f_cur - f_prev) <= config.rel_tol * max(1.0, abs(f_prev)):
@@ -324,21 +322,20 @@ class _FactorRun:
 def _half_step(state, factor_grad, project, rebuild, samples, config, step, work):
     """One backtracking projected-gradient step on a single factor.
 
-    state is (factor, product, likelihood, likelihood terms of the product).
-    The step first grows back by 1 / backtrack_factor, capped at the initial
-    step, then shrinks until a candidate is accepted: the right step for one
-    factor changes as the other factor moves, and a step that only shrank
-    was measured to take two to four times the iterations here.
+    state is (factor, product, likelihood of the product).  The step first
+    grows back by 1 / backtrack_factor, capped at the initial step, then
+    shrinks until a candidate is accepted: the right step for one factor
+    changes as the other factor moves, and a step that only shrank was
+    measured to take two to four times the iterations here.
     """
-    factor, _, g_cur, _ = state
+    factor, _, g_cur = state
     step0 = config.effective_step_init(samples.n)
     step = min(step / config.backtrack_factor, step0)
     step_floor = step0 * 1e-16
     while step >= step_floor:
         trial = project(factor - step * factor_grad)
         x_try = rebuild(trial)
-        terms = _nll_terms(x_try, samples)
-        g_try = terms[0]
+        g_try = neg_log_likelihood(x_try, samples)
         work += 1
         if not np.isfinite(g_try):
             raise SolverNumericalError("non-finite objective in factor step")
@@ -347,7 +344,7 @@ def _half_step(state, factor_grad, project, rebuild, samples, config, step, work
                             + float(np.vdot(diff, diff)) / (2.0 * step)
                             + _ACCEPT_SLACK)
         if quad_ok and g_try <= g_cur + _ACCEPT_SLACK:
-            return (trial, x_try, g_try, terms), step, True, work
+            return (trial, x_try, g_try), step, True, work
         step *= config.backtrack_factor
     return state, step, False, work
 
@@ -387,27 +384,26 @@ def _fit_factors(samples: SampleSet, config: SolverConfig, U: np.ndarray,
     X = U @ V.T
     work = 1
     g_cur = neg_log_likelihood(X, samples)
-    terms = None
     trace = [g_cur]
     step_u = step_v = config.effective_step_init(samples.n)
     converged = False
 
     for _ in range(config.max_iters):
-        grad_mat = _gradient(X, terms, samples)
+        grad_mat = nll_gradient(X, samples)
         work += 1
         state, step_u, moved_u, work = _half_step(
-            (U, X, g_cur, terms), grad_mat @ V,
+            (U, X, g_cur), grad_mat @ V,
             lambda F: project_factor_rows(F, row_bound),
             lambda F: F @ V.T, samples, config, step_u, work)
-        U, X, g_cur, terms = state
+        U, X, g_cur = state
 
-        grad_mat = _gradient(X, terms, samples)
+        grad_mat = nll_gradient(X, samples)
         work += 1
         state, step_v, moved_v, work = _half_step(
-            (V, X, g_cur, terms), grad_mat.T @ U,
+            (V, X, g_cur), grad_mat.T @ U,
             lambda F: project_factor_rows(F, row_bound),
             lambda F: U @ F.T, samples, config, step_v, work)
-        V, X, g_cur, terms = state
+        V, X, g_cur = state
 
         g_prev = trace[-1]
         trace.append(g_cur)

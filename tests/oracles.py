@@ -161,19 +161,29 @@ def gradient_descent_reference(samples, config):
 
     A step is accepted when the quadratic-majorization bound holds and the
     likelihood does not rise; a rejected step is multiplied by
-    backtrack_factor and the step never grows again.  Stops when no step
-    above step0 * 1e-16 descends, on a small relative change, or after
-    max_iters accepted steps.  Returns (X, objective trace).
+    backtrack_factor.  The step is divided by backtrack_factor (capped at
+    step0) once `wait` iterations in a row took their first step; `wait`
+    doubles when that grown step is rejected and goes back to 1 when it is
+    accepted.  Stops when no step above step0 * 1e-16 descends, on a small
+    relative change, or after max_iters iterations.  Returns
+    (X, objective trace).
     """
     X = np.zeros((samples.shape.m1, samples.shape.m2))
     f_cur = neg_log_likelihood(X, samples)
     step0 = config.effective_step_init(samples.n)
     step = step0
+    first_taken = 0  # iterations in a row that took their first step
+    wait = 1
     trace = [f_cur]
     for _ in range(config.max_iters):
         grad = nll_gradient(X, samples)
+        grown = first_taken >= wait and step < step0
+        if grown:
+            step = min(step / config.backtrack_factor, step0)
+        tries = 0
         accepted = False
         while step >= step0 * 1e-16:
+            tries += 1
             xc = X - step * grad
             f_new = neg_log_likelihood(xc, samples)
             diff = xc - X
@@ -184,6 +194,11 @@ def gradient_descent_reference(samples, config):
                 accepted = True
                 break
             step *= config.backtrack_factor
+        took_first = accepted and tries == 1
+        if grown:
+            wait = 1 if took_first else 2 * wait
+            first_taken = 0
+        first_taken = first_taken + 1 if took_first else 0
         if not accepted:
             break
         X = xc

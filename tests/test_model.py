@@ -6,10 +6,9 @@ from scipy import stats
 
 from onebitmc import (Shape, generate_truth, logistic_link,
                       neg_log_likelihood, nll_gradient, sample_observations)
-from onebitmc.model import _nll_gradient_from_terms, _nll_terms
 from onebitmc.seeding import make_rng
 
-from oracles import fd_gradient, scatter_gradient, softplus
+from oracles import fd_gradient, scatter_gradient
 
 
 class TestLogisticLink:
@@ -275,21 +274,3 @@ class TestNllGradient:
         X, s = _random_problem(rng, m1=7, m2=5, n=3000)
         assert np.unique(s.indices, axis=0).shape[0] < s.n
         assert np.array_equal(nll_gradient(X, s), scatter_gradient(X, s))
-
-    def test_gradient_from_carried_terms_is_bit_equal(self):
-        # repeated indices, sampled entries exactly 0 and at +-30 (where the
-        # link saturates), so every branch of the link is taken
-        rng = make_rng(23)
-        X, s = _random_problem(rng, m1=6, m2=4, n=400)
-        assert np.unique(s.indices, axis=0).shape[0] < s.n
-        X[0, :] = 0.0
-        X[1, :2], X[1, 2:] = 30.0, -30.0
-        X[2, 0], X[2, 1] = -0.0, 30.0
-        x = X[s.rows, s.cols]
-        assert (x == 0).any() and (x == 30).any() and (x == -30).any()
-        terms = _nll_terms(X, s)
-        grad = _nll_gradient_from_terms(terms, s)
-        assert grad.tobytes() == nll_gradient(X, s).tobytes()
-        assert grad.tobytes() == scatter_gradient(X, s).tobytes()
-        assert terms[0] == neg_log_likelihood(X, s)
-        assert terms[0] == float(np.mean(softplus(s.labels * x)))
