@@ -29,7 +29,7 @@ config = SweepConfig(
 
 print("running", len(config.n_values) * len(config.estimators), "cells x",
       config.replicates, "replicates ...")
-run_sweep(config, csv_path, threads=4)
+run_sweep(config, csv_path)
 rows = read_sweep_rows(csv_path)
 
 series = []

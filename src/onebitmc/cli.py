@@ -11,7 +11,6 @@ arguments or I/O problems, 2 numerical failure.
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -33,14 +32,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _default_threads() -> int:
-    env = os.environ.get("OBMC_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--config", required=True, help="JSON sweep configuration")
     sw.add_argument("--out", required=True, help="output CSV path")
     sw.add_argument("--seed", type=int, help="override base_seed")
-    sw.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: OBMC_THREADS or 1)")
+    sw.add_argument("--threads", type=int, default=1,
+                    help="worker threads (default: 1)")
     sw.add_argument("--set", dest="overrides", action="append", default=[],
                     metavar="KEY=VALUE",
                     help="override a sweep config key; solver keys via "
@@ -190,8 +181,7 @@ def _cmd_sweep(args) -> int:
     if args.seed is not None:
         raw["base_seed"] = args.seed
     config = sweep_config_from_dict(raw)
-    threads = args.threads if args.threads is not None else _default_threads()
-    results = run_sweep(config, args.out, threads=threads)
+    results = run_sweep(config, args.out, threads=args.threads)
     print(f"wrote {sum(len(r.records) for r in results)} replicate rows "
           f"({len(results)} cells) to {args.out}")
     return 0

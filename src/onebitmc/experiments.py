@@ -15,7 +15,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -39,8 +39,8 @@ CSV_COLUMNS = ["row_kind", "estimator", "m1", "m2", "r", "gamma", "margin_tau",
 
 # solver_defaults keys accepted in sweep configurations; gamma, rank_hint and
 # seed are derived per cell and cannot be preset
-_SOLVER_DEFAULT_KEYS = ("lam", "max_iters", "rel_tol", "step_init",
-                        "backtrack_factor", "factor_width", "restarts")
+_SOLVER_DEFAULT_KEYS = tuple(f.name for f in fields(SolverConfig)
+                             if f.name not in ("gamma", "rank_hint", "seed"))
 
 
 @dataclass(frozen=True)
@@ -373,13 +373,13 @@ def load_sweep_config(path) -> SweepConfig:
 
 
 def sweep_config_from_dict(raw: dict) -> SweepConfig:
-    known = {"shapes", "ranks", "gammas", "n_values", "estimators", "generator",
-             "sampling_scheme", "replicates", "base_seed", "solver_defaults",
-             "lambda_grid", "truth_mode"}
+    known = {f.name for f in fields(SweepConfig)}
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
-    missing = {"shapes", "ranks", "gammas", "n_values", "estimators"} - set(raw)
+    required = {f.name for f in fields(SweepConfig)
+                if f.default is MISSING and f.default_factory is MISSING}
+    missing = required - set(raw)
     if missing:
         raise ValueError(f"missing sweep config keys: {sorted(missing)}")
     shapes = tuple(Shape(int(m1), int(m2)) for m1, m2 in raw["shapes"])

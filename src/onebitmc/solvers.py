@@ -17,15 +17,16 @@ fit the penalized estimator, refit at rank r) to remove the shrinkage the
 penalty leaves on the leading singular values; solve_nuclear_penalized
 itself, and the CLI fit command, return the penalized minimizer.
 
-All three use backtracking line search whose acceptance rule requires the
-objective not to increase, so objective traces are nonincreasing by
-construction.  The penalized and constrained solvers share one descent loop
-whose step grows back only after a run of iterations that accepted their
-first candidate; the factor loop of the max-norm solver and the refit lets
-each factor's step grow back before every iteration.  Every solve is
-deterministic given (samples, config); the FitResult.runtime_ms field is a
-deterministic work counter (likelihood and gradient evaluations), not
-wall-clock time, so repeated runs produce bit-identical results.
+All three take their steps with one backtracking line search, _backtrack,
+whose acceptance rule requires the objective not to increase, so objective
+traces are nonincreasing by construction.  The penalized and constrained
+solvers run it once per iteration on the matrix, the max-norm solver and the
+refit once per factor, and every search follows one step policy (_StepSize):
+it starts at the last accepted step and grows back only after a run of
+searches that accepted their first candidate.  Every solve is deterministic
+given (samples, config); the FitResult.runtime_ms field is a deterministic
+work counter (likelihood and gradient evaluations), not wall-clock time, so
+repeated runs produce bit-identical results.
 """
 
 import math
@@ -39,14 +40,17 @@ from .spectral import (_thin_svd, clip_entries, nuclear_norm,
                        project_factor_rows, project_nuclear_ball, svd)
 
 _ACCEPT_SLACK = 1e-12
+# The mean log-likelihood over n samples has per-entry curvature at most
+# (sample count at the entry) / (4n), so an initial step of 4n inverts the
+# smoothness of a singly-observed entry; backtracking halves it where
+# entries repeat.
+_STEP_PER_SAMPLE = 4.0
+# a rejected step is multiplied by this, a step that grows back divided by it
+_BACKTRACK = 0.5
 
 
 class SolverNumericalError(RuntimeError):
-    """Raised when a solve encounters a non-finite objective; carries the trace."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = np.asarray(trace if trace is not None else [])
+    """Raised when a solve encounters a non-finite objective."""
 
 
 @dataclass(frozen=True)
@@ -56,11 +60,10 @@ class SolverConfig:
     gamma and rank_hint are the generator's amplitude bound and rank budget,
     taken as known.  lam only affects the penalized solver; factor_width and
     restarts only the max-norm solver.  factor_width defaults to twice the
-    rank hint when left unset.  backtrack_factor shrinks a rejected step, and
-    a step that grows back is divided by it, capped at the initial step: in
-    the penalized and constrained solvers only after a run of iterations
-    that accepted their first candidate, in the factor steps of the max-norm
-    solver and the refit before every iteration.
+    rank hint when left unset.  The step sizes are not configured: every
+    solver starts at 4n for n samples, halves a rejected step, and lets it
+    grow back only after a run of searches that accepted their first
+    candidate (see _StepSize).
     """
 
     gamma: float
@@ -68,8 +71,6 @@ class SolverConfig:
     lam: float = 0.0
     max_iters: int = 2000
     rel_tol: float = 1e-7
-    step_init: float | None = None
-    backtrack_factor: float = 0.5
     factor_width: int | None = None
     restarts: int = 5
     seed: int = 0
@@ -85,10 +86,6 @@ class SolverConfig:
             raise ValueError("max_iters must be positive")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
-        if self.step_init is not None and self.step_init <= 0:
-            raise ValueError("step_init must be positive")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
         if self.factor_width is not None and self.factor_width < self.rank_hint:
             raise ValueError("factor_width must be at least rank_hint")
         if self.restarts < 1:
@@ -97,15 +94,6 @@ class SolverConfig:
     @property
     def effective_factor_width(self) -> int:
         return self.factor_width if self.factor_width is not None else 2 * self.rank_hint
-
-    def effective_step_init(self, n: int) -> float:
-        """Initial step size: 4n by default.
-
-        The mean log-likelihood over n samples has per-entry curvature at most
-        (sample count at the entry) / (4n), so 4n inverts the smoothness of a
-        singly-observed entry; backtracking halves it where entries repeat.
-        """
-        return self.step_init if self.step_init is not None else 4.0 * n
 
 
 @dataclass(frozen=True)
@@ -157,22 +145,69 @@ def _feasibility_report(X: np.ndarray, gamma: float,
         maxnorm_upper_bound=float(lu * rv))
 
 
+class _StepSize:
+    """The step of one backtracking search and when it may grow back.
+
+    A search starts at the step its previous search accepted.  The step grows
+    back (divided by _BACKTRACK, capped at the initial step) only once `wait`
+    searches in a row accepted their first candidate; a grown step that is
+    rejected doubles `wait`, and one that is accepted resets it to 1.  Where
+    the right step stays put, as in the penalized fits, a try to grow mostly
+    costs one rejected candidate, so tries soon become rare; where it rises
+    as the iterate moves, as in the constrained fits, the step keeps growing.
+    """
+
+    def __init__(self, n: int):
+        self.initial = _STEP_PER_SAMPLE * n
+        self.size = self.initial
+        self.streak = 0   # searches in a row that accepted their first candidate
+        self.wait = 1
+
+
+def _backtrack(point, grad, g_cur, f_cur, trial, samples, step: _StepSize):
+    """One monotone backtracking search from point along -grad.
+
+    trial(size) returns (next point, the matrix it stands for, nonsmooth
+    penalty there); g_cur is the likelihood at point and f_cur the full
+    objective.  A candidate is accepted only if the likelihood satisfies the
+    quadratic-majorization bound in the point's coordinates and the full
+    objective does not increase; otherwise the step shrinks by _BACKTRACK,
+    down to 1e-16 of the initial step.  Returns ((next point, matrix,
+    likelihood, objective) or None when no step descends, the number of
+    likelihood evaluations).
+    """
+    grow = step.streak >= step.wait and step.size < step.initial
+    if grow:
+        step.size = min(step.size / _BACKTRACK, step.initial)
+    evals = 0
+    found = None
+    while step.size >= step.initial * 1e-16:
+        nxt, x_new, penalty = trial(step.size)
+        g_new = neg_log_likelihood(x_new, samples)
+        evals += 1
+        if not (np.isfinite(g_new) and np.isfinite(penalty)):
+            raise SolverNumericalError("non-finite objective during descent")
+        diff = nxt - point
+        quad_ok = g_new <= (g_cur + float(np.vdot(grad, diff))
+                            + float(np.vdot(diff, diff)) / (2.0 * step.size)
+                            + _ACCEPT_SLACK)
+        f_new = g_new + penalty
+        if quad_ok and f_new <= f_cur + _ACCEPT_SLACK:
+            found = (nxt, x_new, g_new, f_new)
+            break
+        step.size *= _BACKTRACK
+    rejected = evals - (found is not None)
+    if grow:
+        step.streak, step.wait = 0, (1 if rejected == 0 else 2 * step.wait)
+    step.streak = step.streak + 1 if rejected == 0 else 0
+    return found, evals
+
+
 def _proximal_descent(samples: SampleSet, config: SolverConfig, candidate):
     """Monotone backtracking descent from the zero matrix.
 
     candidate(X, grad, step) must return (next iterate, nonsmooth penalty at
-    the next iterate).  A trial step is accepted only if the smooth part
-    satisfies the quadratic-majorization bound and the full objective does not
-    increase; otherwise the step is shrunk by backtrack_factor.
-
-    Each iteration starts at the last accepted step.  The step grows back
-    (divided by backtrack_factor, capped at the initial step) only once
-    `wait` iterations in a row accepted their first candidate; a grown step
-    that is rejected doubles `wait`, and one that is accepted resets it to 1.
-    Where the right step stays put, as in the penalized fits, a try to grow
-    mostly costs one rejected candidate, so tries soon become rare; where it
-    rises as the iterate moves, as in the constrained fits, the step keeps
-    growing.  When no step achieves descent the iterate is declared
+    the next iterate).  When no step achieves descent the iterate is declared
     converged.
     """
     shape = samples.shape
@@ -181,44 +216,22 @@ def _proximal_descent(samples: SampleSet, config: SolverConfig, candidate):
     g_cur = neg_log_likelihood(X, samples)
     f_cur = g_cur  # both penalties vanish at zero
     trace = [f_cur]
-    step0 = config.effective_step_init(samples.n)
-    step = step0
-    step_floor = step0 * 1e-16
-    streak, wait = 0, 1
+    step = _StepSize(samples.n)
     converged = False
 
     for _ in range(config.max_iters):
         grad = nll_gradient(X, samples)
-        work += 1
-        grow = streak >= wait and step < step0
-        if grow:
-            step = min(step / config.backtrack_factor, step0)
-        rejected = 0
-        accepted = False
-        while step >= step_floor:
-            xc, penalty = candidate(X, grad, step)
-            g_new = neg_log_likelihood(xc, samples)
-            work += 1
-            if not (np.isfinite(g_new) and np.isfinite(penalty)):
-                raise SolverNumericalError("non-finite objective during descent",
-                                           trace=trace)
-            diff = xc - X
-            quad_ok = g_new <= (g_cur + float(np.vdot(grad, diff))
-                                + float(np.vdot(diff, diff)) / (2.0 * step)
-                                + _ACCEPT_SLACK)
-            f_new = g_new + penalty
-            if quad_ok and f_new <= f_cur + _ACCEPT_SLACK:
-                accepted = True
-                break
-            step *= config.backtrack_factor
-            rejected += 1
-        if grow:
-            streak, wait = 0, (1 if rejected == 0 else 2 * wait)
-        streak = streak + 1 if rejected == 0 else 0
-        if not accepted:
+
+        def trial(size):
+            xc, penalty = candidate(X, grad, size)
+            return xc, xc, penalty
+
+        found, evals = _backtrack(X, grad, g_cur, f_cur, trial, samples, step)
+        work += 1 + evals
+        if found is None:
             converged = True
             break
-        X, g_cur = xc, g_new
+        X, _, g_cur, f_new = found
         f_prev, f_cur = f_cur, f_new
         trace.append(f_cur)
         if abs(f_cur - f_prev) <= config.rel_tol * max(1.0, abs(f_prev)):
@@ -319,36 +332,6 @@ class _FactorRun:
     work: int
 
 
-def _half_step(state, factor_grad, project, rebuild, samples, config, step, work):
-    """One backtracking projected-gradient step on a single factor.
-
-    state is (factor, product, likelihood of the product).  The step first
-    grows back by 1 / backtrack_factor, capped at the initial step, then
-    shrinks until a candidate is accepted: the right step for one factor
-    changes as the other factor moves, and a step that only shrank was
-    measured to take two to four times the iterations here.
-    """
-    factor, _, g_cur = state
-    step0 = config.effective_step_init(samples.n)
-    step = min(step / config.backtrack_factor, step0)
-    step_floor = step0 * 1e-16
-    while step >= step_floor:
-        trial = project(factor - step * factor_grad)
-        x_try = rebuild(trial)
-        g_try = neg_log_likelihood(x_try, samples)
-        work += 1
-        if not np.isfinite(g_try):
-            raise SolverNumericalError("non-finite objective in factor step")
-        diff = trial - factor
-        quad_ok = g_try <= (g_cur + float(np.vdot(factor_grad, diff))
-                            + float(np.vdot(diff, diff)) / (2.0 * step)
-                            + _ACCEPT_SLACK)
-        if quad_ok and g_try <= g_cur + _ACCEPT_SLACK:
-            return (trial, x_try, g_try), step, True, work
-        step *= config.backtrack_factor
-    return state, step, False, work
-
-
 def _row_bound(config: SolverConfig) -> float:
     """Row-norm bound on both factors; certifies ||U V^T||_max <= gamma sqrt(r)."""
     return math.sqrt(config.gamma * math.sqrt(config.rank_hint))
@@ -385,25 +368,34 @@ def _fit_factors(samples: SampleSet, config: SolverConfig, U: np.ndarray,
     work = 1
     g_cur = neg_log_likelihood(X, samples)
     trace = [g_cur]
-    step_u = step_v = config.effective_step_init(samples.n)
+    # one step per factor: the right step for one changes as the other moves
+    step_u, step_v = _StepSize(samples.n), _StepSize(samples.n)
     converged = False
 
     for _ in range(config.max_iters):
-        grad_mat = nll_gradient(X, samples)
-        work += 1
-        state, step_u, moved_u, work = _half_step(
-            (U, X, g_cur), grad_mat @ V,
-            lambda F: project_factor_rows(F, row_bound),
-            lambda F: F @ V.T, samples, config, step_u, work)
-        U, X, g_cur = state
+        grad_u = nll_gradient(X, samples) @ V
 
-        grad_mat = nll_gradient(X, samples)
-        work += 1
-        state, step_v, moved_v, work = _half_step(
-            (V, X, g_cur), grad_mat.T @ U,
-            lambda F: project_factor_rows(F, row_bound),
-            lambda F: U @ F.T, samples, config, step_v, work)
-        V, X, g_cur = state
+        def trial_u(size):
+            F = project_factor_rows(U - size * grad_u, row_bound)
+            return F, F @ V.T, 0.0
+
+        moved_u, evals = _backtrack(U, grad_u, g_cur, g_cur, trial_u, samples,
+                                    step_u)
+        work += 1 + evals
+        if moved_u:
+            U, X, g_cur, _ = moved_u
+
+        grad_v = nll_gradient(X, samples).T @ U
+
+        def trial_v(size):
+            F = project_factor_rows(V - size * grad_v, row_bound)
+            return F, U @ F.T, 0.0
+
+        moved_v, evals = _backtrack(V, grad_v, g_cur, g_cur, trial_v, samples,
+                                    step_v)
+        work += 1 + evals
+        if moved_v:
+            V, X, g_cur, _ = moved_v
 
         g_prev = trace[-1]
         trace.append(g_cur)

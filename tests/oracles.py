@@ -159,10 +159,10 @@ def balanced_maxnorm_bound(X):
 def gradient_descent_reference(samples, config):
     """Unconstrained gradient descent from zero with the solvers' stepping policy.
 
-    A step is accepted when the quadratic-majorization bound holds and the
-    likelihood does not rise; a rejected step is multiplied by
-    backtrack_factor.  The step is divided by backtrack_factor (capped at
-    step0) once `wait` iterations in a row took their first step; `wait`
+    The step starts at step0 = 4n.  A step is accepted when the
+    quadratic-majorization bound holds and the likelihood does not rise; a
+    rejected step is halved.  The step is doubled (capped at step0) once
+    `wait` iterations in a row took their first step; `wait`
     doubles when that grown step is rejected and goes back to 1 when it is
     accepted.  Stops when no step above step0 * 1e-16 descends, on a small
     relative change, or after max_iters iterations.  Returns
@@ -170,7 +170,7 @@ def gradient_descent_reference(samples, config):
     """
     X = np.zeros((samples.shape.m1, samples.shape.m2))
     f_cur = neg_log_likelihood(X, samples)
-    step0 = config.effective_step_init(samples.n)
+    step0 = 4 * samples.n
     step = step0
     first_taken = 0  # iterations in a row that took their first step
     wait = 1
@@ -179,7 +179,7 @@ def gradient_descent_reference(samples, config):
         grad = nll_gradient(X, samples)
         grown = first_taken >= wait and step < step0
         if grown:
-            step = min(step / config.backtrack_factor, step0)
+            step = min(step / 0.5, step0)
         tries = 0
         accepted = False
         while step >= step0 * 1e-16:
@@ -193,7 +193,7 @@ def gradient_descent_reference(samples, config):
             if quad_ok and f_new <= f_cur + 1e-12:
                 accepted = True
                 break
-            step *= config.backtrack_factor
+            step *= 0.5
         took_first = accepted and tries == 1
         if grown:
             wait = 1 if took_first else 2 * wait

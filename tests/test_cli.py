@@ -127,19 +127,21 @@ class TestSweepAndRate:
         assert svg.startswith("<svg") and "slope=" in svg
 
     def test_sweep_deterministic_across_threads(self, sweep_config_file,
-                                                tmp_path, monkeypatch):
+                                                tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli("sweep", "--config", str(sweep_config_file), "--out",
                        str(a), "--threads", "1") == 0
-        monkeypatch.setenv("OBMC_THREADS", "8")
         assert run_cli("sweep", "--config", str(sweep_config_file), "--out",
-                       str(b)) == 0
+                       str(b), "--threads", "8") == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_override_exits_one(self, sweep_config_file, tmp_path):
         assert run_cli("sweep", "--config", str(sweep_config_file),
                        "--out", str(tmp_path / "x.csv"),
                        "--set", "bogus_key=1") == 1
+        assert run_cli("sweep", "--config", str(sweep_config_file),
+                       "--out", str(tmp_path / "x.csv"),
+                       "--set", "solver_defaults.step_init=1.0") == 1
         assert run_cli("sweep", "--config", str(sweep_config_file),
                        "--out", str(tmp_path / "x.csv"),
                        "--set", "replicates") == 1

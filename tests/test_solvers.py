@@ -139,7 +139,8 @@ class TestBacktrackBudget:
     exponentially while they fail, or halves the step for good, which can
     happen at most 54 times more than the step grew before it falls below
     step0 * 1e-16.  A step that grew back before every iteration rejected
-    120, 135, 72 and 59 candidates on these instances.
+    120, 135, 72 and 59 candidates on the penalized and constrained
+    instances, and 92, 100 and 35 in the factor steps.
     """
 
     @staticmethod
@@ -160,6 +161,22 @@ class TestBacktrackBudget:
         fit = solve_nuclear_constrained(self.pinned(30, 900), cfg)
         assert fit.iterations >= 10
         assert 0 <= rejected_candidates(fit, cfg) <= 54
+
+    @pytest.mark.parametrize("case", [0, 1, "refit"])
+    def test_factor_steps(self, case):
+        if case == "refit":
+            samples, cfg, X, _ = refit_problems()[4]
+            fit = refit_low_rank(samples, X, cfg)
+        else:
+            truth = generate_truth(Shape(30, 30), 2, 1.5, "block_sign", case)
+            samples = sample_observations(truth, 540, "iid_uniform",
+                                          100 + case)
+            fit = solve_maxnorm_constrained(
+                samples, SolverConfig(gamma=1.5, rank_hint=2, restarts=1))
+        assert fit.iterations >= 10
+        # runtime_ms counts the likelihood at the start, then per iteration
+        # two gradients and at least one candidate per half step
+        assert fit.runtime_ms - 1 - 4 * fit.iterations <= 30
 
     def test_constrained_step_grows_back(self):
         # the logistic curvature falls as the iterate grows, so the right
@@ -337,8 +354,6 @@ class TestSharedContracts:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(gamma=-1.0, rank_hint=1)
-        with pytest.raises(ValueError):
-            SolverConfig(gamma=1.0, rank_hint=1, backtrack_factor=1.0)
         with pytest.raises(ValueError):
             SolverConfig(gamma=1.0, rank_hint=3, factor_width=2)
         with pytest.raises(ValueError):
