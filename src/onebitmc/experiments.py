@@ -26,8 +26,9 @@ from .seeding import TAG_SAMPLES, TAG_SOLVER, TAG_TRUTH, float_bits, mix_seed
 from .solvers import (ESTIMATORS, SOLVERS, SolverConfig, SolverNumericalError,
                       refit_low_rank, select_lambda)
 
-ESTIMATOR_IDS = {"nuclear_penalized": 1, "nuclear_constrained": 2,
-                 "maxnorm_constrained": 3}
+# 1, 2, 3 in registry order; the ids feed every replicate seed, so the order
+# of ESTIMATORS is part of the output format
+ESTIMATOR_IDS = {name: i + 1 for i, name in enumerate(ESTIMATORS)}
 # the registry under the name bench/test_bench.py checks the tracer patches;
 # the same dict as solvers.SOLVERS, not a copy
 _SOLVER_FNS = SOLVERS
@@ -149,8 +150,10 @@ def _solver_config(key: CellKey, config: SweepConfig, seed: int,
 def run_cell(key: CellKey, config: SweepConfig) -> CellResult:
     """Run all replicates of one grid cell and aggregate.
 
-    The penalty weight for nuclear_penalized is selected once on replicate 0's
-    data and frozen for every replicate of the cell; each replicate's
+    Each replicate's truth and samples are drawn once; under truth_mode
+    "fixed" every replicate's truth is replicate 0's.  The penalty weight for
+    nuclear_penalized is selected once on replicate 0's samples and frozen
+    for every replicate of the cell; each replicate's
     penalized fit is then refit at rank r, and the refit's estimate is the
     one evaluated.  Such a replicate's iterations and runtime_ms are the sums
     over the fit and the refit, and it counts as converged only if both
@@ -160,33 +163,28 @@ def run_cell(key: CellKey, config: SweepConfig) -> CellResult:
     aggregates; more than 20% failures abort the cell.
     """
     solver = SOLVERS[key.estimator]
+    seed0 = replicate_seed(config.base_seed, key, 0)
+
+    def draw(t):
+        seed_t = replicate_seed(config.base_seed, key, t)
+        truth_seed = seed0 if config.truth_mode == "fixed" else seed_t
+        truth = generate_truth(key.shape, key.r, key.gamma, config.generator,
+                               mix_seed(truth_seed, TAG_TRUTH))
+        return seed_t, truth, sample_observations(
+            truth, key.n, config.sampling_scheme, mix_seed(seed_t, TAG_SAMPLES))
+
+    first = draw(0)  # replicate 0's (seed, truth, samples), kept for the loop
     lam_frozen: float | None = None
     if key.estimator == "nuclear_penalized":
         grid = (config.lambda_grid if config.lambda_grid is not None
                 else default_lambda_grid(key.shape, key.n))
-        seed0 = replicate_seed(config.base_seed, key, 0)
-        truth0 = generate_truth(key.shape, key.r, key.gamma, config.generator,
-                                mix_seed(seed0, TAG_TRUTH))
-        samples0 = sample_observations(truth0, key.n, config.sampling_scheme,
-                                       mix_seed(seed0, TAG_SAMPLES))
         lam_frozen = select_lambda(
-            samples0, _solver_config(key, config, mix_seed(seed0, TAG_SOLVER), None),
+            first[2], _solver_config(key, config, mix_seed(seed0, TAG_SOLVER), None),
             grid)
-
-    fixed_truth = None
-    if config.truth_mode == "fixed":
-        seed0 = replicate_seed(config.base_seed, key, 0)
-        fixed_truth = generate_truth(key.shape, key.r, key.gamma,
-                                     config.generator, mix_seed(seed0, TAG_TRUTH))
 
     records = []
     for t in range(config.replicates):
-        seed_t = replicate_seed(config.base_seed, key, t)
-        truth = fixed_truth if fixed_truth is not None else generate_truth(
-            key.shape, key.r, key.gamma, config.generator,
-            mix_seed(seed_t, TAG_TRUTH))
-        samples = sample_observations(truth, key.n, config.sampling_scheme,
-                                      mix_seed(seed_t, TAG_SAMPLES))
+        seed_t, truth, samples = first if t == 0 else draw(t)
         solver_cfg = _solver_config(key, config, mix_seed(seed_t, TAG_SOLVER),
                                     lam_frozen)
         try:

@@ -11,22 +11,23 @@ Three fits of the same negative mean log-likelihood:
   parameterization whose row norms certify a max-norm bound of gamma * sqrt(r).
 
 refit_low_rank refits the likelihood on rank-r factors started from a given
-estimate, with the max-norm solver's descent loop and row bound.  The sweep
+estimate, with the max-norm solver's two blocks and row bound.  The sweep
 applies it to every nuclear-norm penalized fit (select the penalty weight,
 fit the penalized estimator, refit at rank r) to remove the shrinkage the
 penalty leaves on the leading singular values; solve_nuclear_penalized
 itself, and the CLI fit command, return the penalized minimizer.
 
-All three take their steps with one backtracking line search, _backtrack,
-whose acceptance rule requires the objective not to increase, so objective
-traces are nonincreasing by construction.  The penalized and constrained
-solvers run it once per iteration on the matrix, the max-norm solver and the
-refit once per factor, and every search follows one step policy (_StepSize):
-it starts at the last accepted step and grows back only after a run of
-searches that accepted their first candidate.  Every solve is deterministic
-given (samples, config); the FitResult.runtime_ms field is a deterministic
-work counter (likelihood and gradient evaluations), not wall-clock time, so
-repeated runs produce bit-identical results.
+All three run one descent loop, _descend, which takes its steps with one
+backtracking line search, _backtrack, whose acceptance rule requires the
+objective not to increase, so objective traces are nonincreasing by
+construction.  Each iteration runs one search per block: the penalized and
+constrained solvers pass one block, the matrix, and the max-norm solver and
+the refit two, the factors U then V.  Every search follows one step policy
+(_StepSize): it starts at the last accepted step and grows back only after a
+run of searches that accepted their first candidate.  Every solve is
+deterministic given (samples, config); the FitResult.runtime_ms field is a
+deterministic work counter (likelihood and gradient evaluations), not
+wall-clock time, so repeated runs produce bit-identical results.
 """
 
 import math
@@ -76,6 +77,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # NaN passes every comparison below, and an infinite bound or weight
+        # fails only deep inside the solve
+        for name in ("gamma", "lam", "rel_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.rank_hint < 1:
@@ -203,42 +209,55 @@ def _backtrack(point, grad, g_cur, f_cur, trial, samples, step: _StepSize):
     return found, evals
 
 
-def _proximal_descent(samples: SampleSet, config: SolverConfig, candidate):
-    """Monotone backtracking descent from the zero matrix.
+def _descend(samples: SampleSet, config: SolverConfig, parts: list,
+             matrix: np.ndarray, blocks):
+    """Monotone block descent from parts, the one loop of every solver.
 
-    candidate(X, grad, step) must return (next iterate, nonsmooth penalty at
-    the next iterate).  When no step achieves descent the iterate is declared
-    converged.
+    parts is [X] or [U, V], a list the loop updates, and matrix the matrix
+    they stand for; blocks holds one (gradient, move) pair per part.
+    gradient(parts, G) maps the likelihood gradient G at matrix to the
+    block's gradient, and move(parts, grad, size) is the trial of _backtrack:
+    (next part, the matrix then, nonsmooth penalty there).  Each iteration
+    runs one _backtrack per block in order, each block with its own
+    _StepSize, and counts one gradient plus the search's likelihood
+    evaluations as work.  The objective at the start is the likelihood
+    alone: the penalty vanishes at the zero matrix, and factor fits have
+    none.
+
+    The trace holds the objective at the start, then one entry per iteration
+    in which some block moved.  The fit has converged when an iteration moves
+    no block, which adds no entry, or when the objective changes by at most
+    rel_tol relative to max(1, |previous objective|).  Returns (parts,
+    matrix, trace, converged, work).
     """
-    shape = samples.shape
-    X = np.zeros((shape.m1, shape.m2))
     work = 1
-    g_cur = neg_log_likelihood(X, samples)
-    f_cur = g_cur  # both penalties vanish at zero
+    g_cur = f_cur = neg_log_likelihood(matrix, samples)
     trace = [f_cur]
-    step = _StepSize(samples.n)
+    # one step per block: the right step for a factor changes as the other moves
+    steps = [_StepSize(samples.n) for _ in blocks]
     converged = False
 
     for _ in range(config.max_iters):
-        grad = nll_gradient(X, samples)
-
-        def trial(size):
-            xc, penalty = candidate(X, grad, size)
-            return xc, xc, penalty
-
-        found, evals = _backtrack(X, grad, g_cur, f_cur, trial, samples, step)
-        work += 1 + evals
-        if found is None:
+        moved = False
+        for i, (gradient, move) in enumerate(blocks):
+            grad = gradient(parts, nll_gradient(matrix, samples))
+            found, evals = _backtrack(
+                parts[i], grad, g_cur, f_cur,
+                lambda size: move(parts, grad, size), samples, steps[i])
+            work += 1 + evals
+            if found:
+                parts[i], matrix, g_cur, f_cur = found
+                moved = True
+        if not moved:
             converged = True
             break
-        X, _, g_cur, f_new = found
-        f_prev, f_cur = f_cur, f_new
+        f_prev = trace[-1]
         trace.append(f_cur)
         if abs(f_cur - f_prev) <= config.rel_tol * max(1.0, abs(f_prev)):
             converged = True
             break
 
-    return X, np.asarray(trace), converged, work
+    return parts, matrix, np.asarray(trace), converged, work
 
 
 def solve_nuclear_penalized(samples: SampleSet, config: SolverConfig) -> FitResult:
@@ -252,16 +271,18 @@ def solve_nuclear_penalized(samples: SampleSet, config: SolverConfig) -> FitResu
     _require_samples(samples)
     lam, gamma = config.lam, config.gamma
 
-    def candidate(X, grad, step):
-        u, s, vt = _thin_svd(X - step * grad)
+    def candidate(parts, grad, step):
+        u, s, vt = _thin_svd(parts[0] - step * grad)
         shrunk = np.maximum(s - step * lam, 0.0)
         xc, violation = clip_entries((u * shrunk) @ vt, gamma)
         if lam == 0.0:
-            return xc, 0.0
+            return xc, xc, 0.0
         nuc = float(shrunk.sum()) if violation == 0.0 else nuclear_norm(xc)
-        return xc, lam * nuc
+        return xc, xc, lam * nuc
 
-    X, trace, converged, work = _proximal_descent(samples, config, candidate)
+    zero = np.zeros((samples.shape.m1, samples.shape.m2))
+    _, X, trace, converged, work = _descend(samples, config, [zero], zero,
+                                            [(lambda parts, G: G, candidate)])
     return FitResult(estimate=X, objective_trace=trace,
                      iterations=len(trace) - 1, converged=converged,
                      feasibility_report=_feasibility_report(X, gamma,
@@ -308,10 +329,13 @@ def solve_nuclear_constrained(samples: SampleSet, config: SolverConfig) -> FitRe
     radius = config.gamma * math.sqrt(config.rank_hint * shape.m1 * shape.m2)
     gamma = config.gamma
 
-    def candidate(X, grad, step):
-        return _project_ball_box(X - step * grad, radius, gamma), 0.0
+    def candidate(parts, grad, step):
+        xc = _project_ball_box(parts[0] - step * grad, radius, gamma)
+        return xc, xc, 0.0
 
-    X, trace, converged, work = _proximal_descent(samples, config, candidate)
+    zero = np.zeros((shape.m1, shape.m2))
+    _, X, trace, converged, work = _descend(samples, config, [zero], zero,
+                                            [(lambda parts, G: G, candidate)])
     triple = _thin_svd(X)
     if triple[1].sum() > radius * (1 + 1e-9):
         X = _project_ball_box(X, radius, gamma)
@@ -320,16 +344,6 @@ def solve_nuclear_constrained(samples: SampleSet, config: SolverConfig) -> FitRe
                      iterations=len(trace) - 1, converged=converged,
                      feasibility_report=_feasibility_report(X, gamma, triple),
                      runtime_ms=work)
-
-
-@dataclass
-class _FactorRun:
-    U: np.ndarray
-    V: np.ndarray
-    objective: float
-    trace: np.ndarray
-    converged: bool
-    work: int
 
 
 def _row_bound(config: SolverConfig) -> float:
@@ -355,59 +369,26 @@ def _random_factors(shape: Shape, gamma: float, width: int, seed: int):
 
 
 def _fit_factors(samples: SampleSet, config: SolverConfig, U: np.ndarray,
-                 V: np.ndarray, row_bound: float) -> _FactorRun:
+                 V: np.ndarray, row_bound: float):
     """Alternating projected gradient on the likelihood of U V^T from (U, V).
 
     Both starting factors are first projected onto the row-norm ball of
-    radius row_bound, and every step keeps them there.
+    radius row_bound, and every step keeps them there.  Each iteration steps
+    U, then V; returns _descend's tuple.
     """
+    def move_u(parts, grad, size):
+        F = project_factor_rows(parts[0] - size * grad, row_bound)
+        return F, F @ parts[1].T, 0.0
+
+    def move_v(parts, grad, size):
+        F = project_factor_rows(parts[1] - size * grad, row_bound)
+        return F, parts[0] @ F.T, 0.0
+
     U = project_factor_rows(U, row_bound)
     V = project_factor_rows(V, row_bound)
-
-    X = U @ V.T
-    work = 1
-    g_cur = neg_log_likelihood(X, samples)
-    trace = [g_cur]
-    # one step per factor: the right step for one changes as the other moves
-    step_u, step_v = _StepSize(samples.n), _StepSize(samples.n)
-    converged = False
-
-    for _ in range(config.max_iters):
-        grad_u = nll_gradient(X, samples) @ V
-
-        def trial_u(size):
-            F = project_factor_rows(U - size * grad_u, row_bound)
-            return F, F @ V.T, 0.0
-
-        moved_u, evals = _backtrack(U, grad_u, g_cur, g_cur, trial_u, samples,
-                                    step_u)
-        work += 1 + evals
-        if moved_u:
-            U, X, g_cur, _ = moved_u
-
-        grad_v = nll_gradient(X, samples).T @ U
-
-        def trial_v(size):
-            F = project_factor_rows(V - size * grad_v, row_bound)
-            return F, U @ F.T, 0.0
-
-        moved_v, evals = _backtrack(V, grad_v, g_cur, g_cur, trial_v, samples,
-                                    step_v)
-        work += 1 + evals
-        if moved_v:
-            V, X, g_cur, _ = moved_v
-
-        g_prev = trace[-1]
-        trace.append(g_cur)
-        if not (moved_u or moved_v):
-            converged = True
-            break
-        if abs(g_cur - g_prev) <= config.rel_tol * max(1.0, abs(g_prev)):
-            converged = True
-            break
-
-    return _FactorRun(U=U, V=V, objective=g_cur, trace=np.asarray(trace),
-                      converged=converged, work=work)
+    return _descend(samples, config, [U, V], U @ V.T,
+                    [(lambda parts, G: G @ parts[1], move_u),
+                     (lambda parts, G: G.T @ parts[0], move_v)])
 
 
 def solve_maxnorm_constrained(samples: SampleSet, config: SolverConfig) -> FitResult:
@@ -423,8 +404,7 @@ def solve_maxnorm_constrained(samples: SampleSet, config: SolverConfig) -> FitRe
     _require_samples(samples)
     width = config.effective_factor_width
     row_bound = _row_bound(config)
-    best: _FactorRun | None = None
-    total_work = 0
+    best, best_objective, total_work = None, math.inf, 0
     for restart in range(config.restarts):
         try:
             U, V = _random_factors(samples.shape, config.gamma, width,
@@ -432,29 +412,31 @@ def solve_maxnorm_constrained(samples: SampleSet, config: SolverConfig) -> FitRe
             run = _fit_factors(samples, config, U, V, row_bound)
         except SolverNumericalError:
             continue
-        total_work += run.work
-        if best is None or run.objective < best.objective:
-            best = run
+        _, _, trace, _, work = run
+        total_work += work
+        if trace[-1] < best_objective:
+            best, best_objective = run, trace[-1]
     if best is None:
         raise SolverNumericalError("all restarts failed")
 
     return _factor_result(best, config.gamma, total_work)
 
 
-def _factor_result(run: _FactorRun, gamma: float, work: int) -> FitResult:
-    """FitResult for a factor run: the product clipped into the entrywise box.
+def _factor_result(run, gamma: float, work: int) -> FitResult:
+    """FitResult for _fit_factors's tuple: the product clipped into the box.
 
     The pre-clip violation is reported; the row-norm product certifies the
     max-norm bound.
     """
-    estimate, violation = clip_entries(run.U @ run.V.T, gamma)
-    bound = float(np.linalg.norm(run.U, axis=1).max()
-                  * np.linalg.norm(run.V, axis=1).max())
+    (U, V), product, trace, converged, _ = run
+    estimate, violation = clip_entries(product, gamma)
+    bound = float(np.linalg.norm(U, axis=1).max()
+                  * np.linalg.norm(V, axis=1).max())
     report = FeasibilityReport(inf_norm_violation=violation,
                                nuclear_norm=nuclear_norm(estimate),
                                maxnorm_upper_bound=bound)
-    return FitResult(estimate=estimate, objective_trace=run.trace,
-                     iterations=len(run.trace) - 1, converged=run.converged,
+    return FitResult(estimate=estimate, objective_trace=trace,
+                     iterations=len(trace) - 1, converged=converged,
                      feasibility_report=report, runtime_ms=work)
 
 
@@ -481,7 +463,7 @@ def refit_low_rank(samples: SampleSet, X: np.ndarray,
     root = np.sqrt(t.singular_values[:r])
     run = _fit_factors(samples, config, t.left[:, :r] * root,
                        t.right[:, :r] * root, _row_bound(config))
-    return _factor_result(run, config.gamma, run.work)
+    return _factor_result(run, config.gamma, run[-1])
 
 
 def select_lambda(samples: SampleSet, config: SolverConfig, grid) -> float:

@@ -5,7 +5,8 @@ zoom toward the best feasible point; it shares no code with the solvers (the
 likelihood and nuclear norm are recomputed from scratch on flat arrays).
 The SVD sign convention, the scatter-add gradient and the balanced-factor
 max-norm bound are kept here in their plain per-column / per-sample forms,
-and the solvers' stepping policy as plain gradient descent.
+and the solvers' stepping policy as plain gradient descent on the matrix and
+as plain alternating descent on two factors.
 """
 
 import numpy as np
@@ -207,3 +208,83 @@ def gradient_descent_reference(samples, config):
         if abs(f_cur - f_prev) <= config.rel_tol * max(1.0, abs(f_prev)):
             break
     return X, trace
+
+
+def rows_onto_ball(F, bound):
+    """Scale each row of F with norm above bound back onto it, row by row."""
+    out = np.array(F, dtype=float)
+    for i in range(out.shape[0]):
+        norm = np.sqrt(np.sum(out[i] ** 2))
+        if norm > bound:
+            out[i] = out[i] * (bound / norm)
+    return out
+
+
+def alternating_descent_reference(samples, config, U, V):
+    """Alternating projected gradient on the likelihood of U V^T, policy as above.
+
+    Both factors' rows are first put inside the ball of radius
+    sqrt(gamma * sqrt(r)), and every candidate is put back into it.  Each
+    iteration takes a U half step, then a V half step from the gradient at
+    the product after the U step.  Each factor keeps its own step, started
+    at 4n, halved on a rejected candidate and doubled (capped at 4n) once
+    `wait` of its half steps in a row rejected no candidate; `wait` doubles
+    when that grown step is rejected and goes back to 1 when it is not.  A
+    half step gives up below 4n * 1e-16.  Stops when neither half step moved
+    (adding no trace entry), on a small relative change, or after max_iters
+    iterations.  Returns (U V^T, objective trace, work), where work counts
+    the likelihood at the start, one gradient per half step and one
+    likelihood per candidate.
+    """
+    bound = np.sqrt(config.gamma * np.sqrt(config.rank_hint))
+    factors = {"U": rows_onto_ball(U, bound), "V": rows_onto_ball(V, bound)}
+    step0 = 4 * samples.n
+    policy = {"U": [step0, 0, 1], "V": [step0, 0, 1]}  # step, clean run, wait
+    f_cur = neg_log_likelihood(factors["U"] @ factors["V"].T, samples)
+    trace = [f_cur]
+    work = 1
+
+    def product(name, F):
+        return (F @ factors["V"].T if name == "U" else factors["U"] @ F.T)
+
+    for _ in range(config.max_iters):
+        moved = False
+        for name in ("U", "V"):
+            F = factors[name]
+            G = nll_gradient(factors["U"] @ factors["V"].T, samples)
+            grad = G @ factors["V"] if name == "U" else G.T @ factors["U"]
+            step, clean_run, wait = policy[name]
+            grown = clean_run >= wait and step < step0
+            if grown:
+                step = min(step / 0.5, step0)
+            tries = 0
+            accepted = None
+            while step >= step0 * 1e-16:
+                tries += 1
+                Fc = rows_onto_ball(F - step * grad, bound)
+                f_new = neg_log_likelihood(product(name, Fc), samples)
+                diff = Fc - F
+                quad_ok = f_new <= (f_cur + float(np.vdot(grad, diff))
+                                    + float(np.vdot(diff, diff)) / (2 * step)
+                                    + 1e-12)
+                if quad_ok and f_new <= f_cur + 1e-12:
+                    accepted = Fc
+                    break
+                step *= 0.5
+            work += 1 + tries
+            clean = tries == (0 if accepted is None else 1)
+            if grown:
+                wait = 1 if clean else 2 * wait
+                clean_run = 0
+            policy[name] = [step, clean_run + 1 if clean else 0, wait]
+            if accepted is not None:
+                factors[name] = accepted
+                f_cur = f_new
+                moved = True
+        if not moved:
+            break
+        f_prev = trace[-1]
+        trace.append(f_cur)
+        if abs(f_cur - f_prev) <= config.rel_tol * max(1.0, abs(f_prev)):
+            break
+    return factors["U"] @ factors["V"].T, trace, work

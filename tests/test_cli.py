@@ -88,6 +88,15 @@ class TestFit:
                        "--out", str(tmp_path / "x.txt"))
         assert code == 1
 
+    def test_non_finite_rel_tol_exits_one(self, truth_file, tmp_path, capsys):
+        # with a NaN tolerance the relative-change stop never fires, and the
+        # fit would run silently to --max-iters
+        code = run_cli("fit", "--truth", str(truth_file), "--n", "60",
+                       "--estimator", "nuclear_penalized", "--rel-tol", "nan",
+                       "--out", str(tmp_path / "x.txt"))
+        assert code == 1
+        assert "rel_tol must be finite" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_truth_against_itself_has_zero_excess(self, truth_file, capsys):

@@ -301,6 +301,20 @@ class TestRefitLowRank:
             assert (a.iterations, a.converged, a.runtime_ms) == \
                 (b.iterations, b.converged, b.runtime_ms)
 
+    def test_matches_alternating_reference(self):
+        for samples, cfg, X, _ in refit_problems():
+            r = cfg.rank_hint
+            u, s, v = oracles.signed_svd(X)
+            root = np.sqrt(s[:r])
+            product, trace, work = oracles.alternating_descent_reference(
+                samples, cfg, u[:, :r] * root, v[:, :r] * root)
+            fit = refit_low_rank(samples, X, cfg)
+            expected = np.clip(product, -cfg.gamma, cfg.gamma)
+            assert np.max(np.abs(fit.estimate - expected)) <= 1e-12
+            assert fit.objective_trace.size == len(trace)
+            assert np.max(np.abs(fit.objective_trace - trace)) <= 1e-12
+            assert fit.runtime_ms == work
+
     def test_rejects_mismatched_shape(self):
         _, samples = make_problem(seed=2, n=50)
         with pytest.raises(ValueError):
@@ -358,6 +372,11 @@ class TestSharedContracts:
             SolverConfig(gamma=1.0, rank_hint=3, factor_width=2)
         with pytest.raises(ValueError):
             SolverConfig(gamma=1.0, rank_hint=1, rel_tol=0.0)
+        for bad in (dict(gamma=math.nan), dict(gamma=math.inf),
+                    dict(gamma=1.0, lam=math.nan), dict(gamma=1.0, lam=math.inf),
+                    dict(gamma=1.0, rel_tol=math.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                SolverConfig(rank_hint=1, **bad)
 
 
 class TestSelectLambda:
