@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--lambda", dest="lam", type=float, default=0.0,
                      help="penalty weight (nuclear_penalized)")
     fit.add_argument("--max-iters", type=int, default=2000)
-    fit.add_argument("--rel-tol", type=float, default=1e-7)
     fit.add_argument("--factor-width", type=int)
     fit.add_argument("--restarts", type=int, default=5)
     fit.add_argument("--seed", type=int, default=0, help="solver seed (restarts)")
@@ -129,7 +128,7 @@ def _cmd_fit(args) -> int:
         raise ValueError("--gamma and --rank are required when no truth file "
                          "provides them")
     config = SolverConfig(gamma=gamma, rank_hint=rank, lam=args.lam,
-                          max_iters=args.max_iters, rel_tol=args.rel_tol,
+                          max_iters=args.max_iters,
                           factor_width=args.factor_width,
                           restarts=args.restarts, seed=args.seed)
     result = SOLVERS[args.estimator](samples, config)
@@ -144,7 +143,7 @@ def _cmd_fit(args) -> int:
           f"objective={result.objective_trace[-1]:.12g} "
           f"nuclear_norm={rep.nuclear_norm:.6g} "
           f"inf_violation={rep.inf_norm_violation:.3g} "
-          f"maxnorm_bound={rep.maxnorm_upper_bound:.6g} work={result.runtime_ms}")
+          f"maxnorm_bound={rep.maxnorm_upper_bound:.6g} work={result.work}")
     return 0
 
 

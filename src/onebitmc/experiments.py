@@ -36,12 +36,12 @@ _SOLVER_FNS = SOLVERS
 CSV_COLUMNS = ["row_kind", "estimator", "m1", "m2", "r", "gamma", "margin_tau",
                "generator", "sampling_scheme", "n", "replicate", "seed",
                "lambda_used", "excess", "risk", "bayes_risk",
-               "frob_err_sq_norm", "iterations", "converged", "runtime_ms"]
+               "frob_err_sq_norm", "iterations", "converged", "work"]
 
 # solver_defaults keys accepted in sweep configurations; gamma, rank_hint and
-# seed are derived per cell and cannot be preset
-_SOLVER_DEFAULT_KEYS = tuple(f.name for f in fields(SolverConfig)
-                             if f.name not in ("gamma", "rank_hint", "seed"))
+# seed are derived per cell, and each penalized cell selects its own lam
+_SOLVER_DEFAULT_KEYS = tuple(f.name for f in fields(SolverConfig) if f.name
+                             not in ("gamma", "rank_hint", "seed", "lam"))
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class ReplicateRecord:
     frob_error_sq_normalized: float
     iterations: int
     converged: bool
-    runtime_ms: int
+    work: int
     failed: bool = False
 
 
@@ -155,7 +155,7 @@ def run_cell(key: CellKey, config: SweepConfig) -> CellResult:
     nuclear_penalized is selected once on replicate 0's samples and frozen
     for every replicate of the cell; each replicate's
     penalized fit is then refit at rank r, and the refit's estimate is the
-    one evaluated.  Such a replicate's iterations and runtime_ms are the sums
+    one evaluated.  Such a replicate's iterations and work are the sums
     over the fit and the refit, and it counts as converged only if both
     stages converged.  A replicate whose fit or refit hits a numerical
     failure (SolverNumericalError, or an ArithmeticError such as an SVD that
@@ -197,7 +197,7 @@ def run_cell(key: CellKey, config: SweepConfig) -> CellResult:
                 replicate=t, seed=seed_t, margin_tau=truth.margin_tau,
                 lambda_used=lam_frozen, excess=math.nan, risk=math.nan,
                 bayes_risk=math.nan, frob_error_sq_normalized=math.nan,
-                iterations=0, converged=False, runtime_ms=0, failed=True))
+                iterations=0, converged=False, work=0, failed=True))
             continue
         report = risk_report(stages[-1].estimate, truth)
         records.append(ReplicateRecord(
@@ -207,7 +207,7 @@ def run_cell(key: CellKey, config: SweepConfig) -> CellResult:
             frob_error_sq_normalized=report.frob_error_sq_normalized,
             iterations=sum(f.iterations for f in stages),
             converged=all(f.converged for f in stages),
-            runtime_ms=sum(f.runtime_ms for f in stages)))
+            work=sum(f.work for f in stages)))
 
     failed = sum(r.failed for r in records)
     if failed > 0.2 * len(records):
@@ -264,7 +264,7 @@ def _replicate_row(key: CellKey, config: SweepConfig, rec: ReplicateRecord):
             "" if rec.failed else _fmt(rec.frob_error_sq_normalized),
             str(rec.iterations),
             "failed" if rec.failed else _fmt(rec.converged),
-            str(rec.runtime_ms)]
+            str(rec.work)]
 
 
 def _aggregate_row(result: CellResult, config: SweepConfig):
@@ -382,8 +382,6 @@ def sweep_config_from_dict(raw: dict) -> SweepConfig:
         raise ValueError(f"missing sweep config keys: {sorted(missing)}")
     shapes = tuple(Shape(int(m1), int(m2)) for m1, m2 in raw["shapes"])
     defaults = dict(raw.get("solver_defaults") or {})
-    if "lambda" in defaults:  # accepted alias; 'lambda' is reserved in Python
-        defaults["lam"] = defaults.pop("lambda")
     grid = raw.get("lambda_grid")
     return SweepConfig(
         shapes=shapes,

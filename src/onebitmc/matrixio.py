@@ -34,19 +34,25 @@ def write_truth(path, truth: TruthMatrix, seed: int | None = None):
     write_matrix(path, truth.entries, metadata)
 
 
+def _read_lines(path) -> tuple[dict, list]:
+    """Split a file into its '# key value' metadata and its nonblank body lines."""
+    metadata = {}
+    body = []
+    with open(path) as handle:
+        for line in handle:
+            line = line.rstrip("\n")
+            if line.startswith("#"):
+                parts = line[1:].strip().split(None, 1)
+                if len(parts) == 2:
+                    metadata[parts[0]] = parts[1]
+            elif line.strip():
+                body.append(line)
+    return metadata, body
+
+
 def read_matrix(path) -> tuple[np.ndarray, dict]:
     """Read a matrix file; returns (entries, metadata dict of strings)."""
-    metadata = {}
-    with open(path) as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    body = []
-    for line in lines:
-        if line.startswith("#"):
-            parts = line[1:].strip().split(None, 1)
-            if len(parts) == 2:
-                metadata[parts[0]] = parts[1]
-        elif line.strip():
-            body.append(line)
+    metadata, body = _read_lines(path)
     if not body:
         raise ValueError(f"{path}: no dimension line found")
     try:
@@ -84,23 +90,30 @@ def write_samples(path, samples: SampleSet):
 
 
 def read_samples(path) -> SampleSet:
-    metadata = {}
-    triples = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                parts = line[1:].strip().split(None, 1)
-                if len(parts) == 2:
-                    metadata[parts[0]] = parts[1]
-            elif line.strip():
-                triples.append([int(v) for v in line.split()])
+    """Read a sample-set file of 'row col label' lines.
+
+    Every index must lie in the header's m1 x m2 shape, every label be -1 or
+    +1, and an optional '# n' header match the number of lines.
+    """
+    metadata, body = _read_lines(path)
     required = {"m1", "m2", "scheme", "seed"}
     missing = required - set(metadata)
     if missing:
         raise ValueError(f"{path}: missing sample metadata {sorted(missing)}")
+    shape = Shape(int(metadata["m1"]), int(metadata["m2"]))
+    triples = [[int(v) for v in line.split()] for line in body]
+    if any(len(t) != 3 for t in triples):
+        raise ValueError(f"{path}: a sample line is not 'row col label'")
     arr = np.array(triples, dtype=np.int64).reshape(-1, 3)
-    return SampleSet(indices=arr[:, :2],
-                     labels=arr[:, 2].astype(np.int8),
+    rows, cols, labels = arr.T
+    if np.any((rows < 0) | (rows >= shape.m1) | (cols < 0) | (cols >= shape.m2)):
+        raise ValueError(f"{path}: a sample index lies outside "
+                         f"{shape.m1}x{shape.m2}")
+    if np.any(np.abs(labels) != 1):
+        raise ValueError(f"{path}: a label is not -1 or +1")
+    if int(metadata.get("n", len(arr))) != len(arr):
+        raise ValueError(f"{path}: header n {metadata['n']} but {len(arr)} "
+                         "samples")
+    return SampleSet(indices=arr[:, :2], labels=labels.astype(np.int8),
                      scheme=metadata["scheme"], seed=int(metadata["seed"]),
-                     shape=Shape(int(metadata["m1"]), int(metadata["m2"])))
+                     shape=shape)

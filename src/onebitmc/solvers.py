@@ -24,10 +24,11 @@ construction.  Each iteration runs one search per block: the penalized and
 constrained solvers pass one block, the matrix, and the max-norm solver and
 the refit two, the factors U then V.  Every search follows one step policy
 (_StepSize): it starts at the last accepted step and grows back only after a
-run of searches that accepted their first candidate.  Every solve is
-deterministic given (samples, config); the FitResult.runtime_ms field is a
-deterministic work counter (likelihood and gradient evaluations), not
-wall-clock time, so repeated runs produce bit-identical results.
+run of searches that accepted their first candidate.  Every fit stops on one
+tolerance, _REL_TOL, and ends in one builder, _fit_result.  Every solve is
+deterministic given (samples, config); FitResult.work counts likelihood and
+gradient evaluations, not wall-clock time, so repeated runs produce
+bit-identical results.
 """
 
 import math
@@ -46,6 +47,8 @@ _ACCEPT_SLACK = 1e-12
 # smoothness of a singly-observed entry; backtracking halves it where
 # entries repeat.
 _STEP_PER_SAMPLE = 4.0
+# the relative change of the objective at which a fit has converged
+_REL_TOL = 1e-7
 # a rejected step is multiplied by this, a step that grows back divided by it
 _BACKTRACK = 0.5
 
@@ -61,17 +64,14 @@ class SolverConfig:
     gamma and rank_hint are the generator's amplitude bound and rank budget,
     taken as known.  lam only affects the penalized solver; factor_width and
     restarts only the max-norm solver.  factor_width defaults to twice the
-    rank hint when left unset.  The step sizes are not configured: every
-    solver starts at 4n for n samples, halves a rejected step, and lets it
-    grow back only after a run of searches that accepted their first
-    candidate (see _StepSize).
+    rank hint when left unset.  The step sizes (see _StepSize) and the stop
+    tolerance (_REL_TOL) are not configured; max_iters caps every fit.
     """
 
     gamma: float
     rank_hint: int
     lam: float = 0.0
     max_iters: int = 2000
-    rel_tol: float = 1e-7
     factor_width: int | None = None
     restarts: int = 5
     seed: int = 0
@@ -79,7 +79,7 @@ class SolverConfig:
     def __post_init__(self):
         # NaN passes every comparison below, and an infinite bound or weight
         # fails only deep inside the solve
-        for name in ("gamma", "lam", "rel_tol"):
+        for name in ("gamma", "lam"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.gamma <= 0:
@@ -90,8 +90,6 @@ class SolverConfig:
             raise ValueError("lam must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
         if self.factor_width is not None and self.factor_width < self.rank_hint:
             raise ValueError("factor_width must be at least rank_hint")
         if self.restarts < 1:
@@ -115,8 +113,8 @@ class FitResult:
 
     objective_trace[0] is the objective at the zero (or random factor)
     starting point; one entry follows per accepted iteration, nonincreasing
-    within 1e-10 per step.  runtime_ms counts likelihood/gradient evaluations,
-    a deterministic stand-in for elapsed time.
+    within 1e-10 per step.  work counts likelihood/gradient evaluations, a
+    deterministic stand-in for elapsed time.
     """
 
     estimate: np.ndarray
@@ -124,7 +122,7 @@ class FitResult:
     iterations: int
     converged: bool
     feasibility_report: FeasibilityReport
-    runtime_ms: int
+    work: int
 
 
 def _require_samples(samples: SampleSet):
@@ -132,23 +130,27 @@ def _require_samples(samples: SampleSet):
         raise ValueError("sample set is empty")
 
 
-def _feasibility_report(X: np.ndarray, gamma: float,
-                        triple) -> FeasibilityReport:
-    """Box violation, nuclear norm and certified max-norm bound of X.
+def _fit_result(product: np.ndarray, trace: np.ndarray, converged: bool,
+                work: int, gamma: float, bound: float | None = None) -> FitResult:
+    """The FitResult of every fit: product clipped into the box, and its report.
 
-    triple is the thin SVD (u, s, vt) of X and gives both spectral figures:
-    the nuclear norm is s.sum(), and the max-norm bound is the product of
-    the largest row norms of the balanced factors u sqrt(s) and vt.T sqrt(s).
-    Neither depends on the signs of the singular vectors.
+    The report keeps the pre-clip violation and reads one thin SVD (u, s, vt)
+    of the estimate: the nuclear norm s.sum() and, unless the fit certifies
+    its own bound, the row-norm product of the balanced factors u sqrt(s) and
+    vt.T sqrt(s).  Neither depends on the signs of the singular vectors.
     """
-    u, s, vt = triple
-    root = np.sqrt(s)
-    lu = np.linalg.norm(u * root, axis=1).max() if X.size else 0.0
-    rv = np.linalg.norm(vt.T * root, axis=1).max() if X.size else 0.0
-    return FeasibilityReport(
-        inf_norm_violation=max(0.0, float(np.max(np.abs(X))) - gamma),
-        nuclear_norm=float(s.sum()),
-        maxnorm_upper_bound=float(lu * rv))
+    estimate, violation = clip_entries(product, gamma)
+    u, s, vt = _thin_svd(estimate)
+    if bound is None:
+        root = np.sqrt(s)
+        bound = float(np.linalg.norm(u * root, axis=1).max()
+                      * np.linalg.norm(vt.T * root, axis=1).max())
+    report = FeasibilityReport(inf_norm_violation=violation,
+                               nuclear_norm=float(s.sum()),
+                               maxnorm_upper_bound=bound)
+    return FitResult(estimate=estimate, objective_trace=trace,
+                     iterations=len(trace) - 1, converged=converged,
+                     feasibility_report=report, work=work)
 
 
 class _StepSize:
@@ -227,7 +229,7 @@ def _descend(samples: SampleSet, config: SolverConfig, parts: list,
     The trace holds the objective at the start, then one entry per iteration
     in which some block moved.  The fit has converged when an iteration moves
     no block, which adds no entry, or when the objective changes by at most
-    rel_tol relative to max(1, |previous objective|).  Returns (parts,
+    _REL_TOL relative to max(1, |previous objective|).  Returns (parts,
     matrix, trace, converged, work).
     """
     work = 1
@@ -253,7 +255,7 @@ def _descend(samples: SampleSet, config: SolverConfig, parts: list,
             break
         f_prev = trace[-1]
         trace.append(f_cur)
-        if abs(f_cur - f_prev) <= config.rel_tol * max(1.0, abs(f_prev)):
+        if abs(f_cur - f_prev) <= _REL_TOL * max(1.0, abs(f_prev)):
             converged = True
             break
 
@@ -283,11 +285,7 @@ def solve_nuclear_penalized(samples: SampleSet, config: SolverConfig) -> FitResu
     zero = np.zeros((samples.shape.m1, samples.shape.m2))
     _, X, trace, converged, work = _descend(samples, config, [zero], zero,
                                             [(lambda parts, G: G, candidate)])
-    return FitResult(estimate=X, objective_trace=trace,
-                     iterations=len(trace) - 1, converged=converged,
-                     feasibility_report=_feasibility_report(X, gamma,
-                                                            _thin_svd(X)),
-                     runtime_ms=work)
+    return _fit_result(X, trace, converged, work, gamma)
 
 
 def _project_ball_box(Z: np.ndarray, radius: float, gamma: float,
@@ -303,7 +301,7 @@ def _project_ball_box(Z: np.ndarray, radius: float, gamma: float,
     X = np.asarray(Z, dtype=float)
     p = np.zeros_like(X)
     q = np.zeros_like(X)
-    scale = max(1.0, float(np.max(np.abs(X))) if X.size else 1.0)
+    scale = max(1.0, float(np.max(np.abs(X))))
     for _ in range(max_sweeps):
         Y = project_nuclear_ball(X + p, radius)
         p = X + p - Y
@@ -336,14 +334,12 @@ def solve_nuclear_constrained(samples: SampleSet, config: SolverConfig) -> FitRe
     zero = np.zeros((shape.m1, shape.m2))
     _, X, trace, converged, work = _descend(samples, config, [zero], zero,
                                             [(lambda parts, G: G, candidate)])
-    triple = _thin_svd(X)
-    if triple[1].sum() > radius * (1 + 1e-9):
-        X = _project_ball_box(X, radius, gamma)
-        triple = _thin_svd(X)
-    return FitResult(estimate=X, objective_trace=trace,
-                     iterations=len(trace) - 1, converged=converged,
-                     feasibility_report=_feasibility_report(X, gamma, triple),
-                     runtime_ms=work)
+    result = _fit_result(X, trace, converged, work, gamma)
+    # Dykstra can stop on its sweep cap a hair outside the ball
+    if result.feasibility_report.nuclear_norm > radius * (1 + 1e-9):
+        result = _fit_result(_project_ball_box(X, radius, gamma), trace,
+                             converged, work, gamma)
+    return result
 
 
 def _row_bound(config: SolverConfig) -> float:
@@ -423,21 +419,11 @@ def solve_maxnorm_constrained(samples: SampleSet, config: SolverConfig) -> FitRe
 
 
 def _factor_result(run, gamma: float, work: int) -> FitResult:
-    """FitResult for _fit_factors's tuple: the product clipped into the box.
-
-    The pre-clip violation is reported; the row-norm product certifies the
-    max-norm bound.
-    """
+    """FitResult for _fit_factors's tuple; its row norms certify the bound."""
     (U, V), product, trace, converged, _ = run
-    estimate, violation = clip_entries(product, gamma)
     bound = float(np.linalg.norm(U, axis=1).max()
                   * np.linalg.norm(V, axis=1).max())
-    report = FeasibilityReport(inf_norm_violation=violation,
-                               nuclear_norm=nuclear_norm(estimate),
-                               maxnorm_upper_bound=bound)
-    return FitResult(estimate=estimate, objective_trace=trace,
-                     iterations=len(trace) - 1, converged=converged,
-                     feasibility_report=report, runtime_ms=work)
+    return _fit_result(product, trace, converged, work, gamma, bound)
 
 
 def refit_low_rank(samples: SampleSet, X: np.ndarray,

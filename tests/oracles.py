@@ -205,7 +205,7 @@ def gradient_descent_reference(samples, config):
         X = xc
         f_prev, f_cur = f_cur, f_new
         trace.append(f_cur)
-        if abs(f_cur - f_prev) <= config.rel_tol * max(1.0, abs(f_prev)):
+        if abs(f_cur - f_prev) <= 1e-7 * max(1.0, abs(f_prev)):
             break
     return X, trace
 
@@ -285,6 +285,6 @@ def alternating_descent_reference(samples, config, U, V):
             break
         f_prev = trace[-1]
         trace.append(f_cur)
-        if abs(f_cur - f_prev) <= config.rel_tol * max(1.0, abs(f_prev)):
+        if abs(f_cur - f_prev) <= 1e-7 * max(1.0, abs(f_prev)):
             break
     return factors["U"] @ factors["V"].T, trace, work

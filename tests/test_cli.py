@@ -1,10 +1,13 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from onebitmc import read_sweep_rows
-from onebitmc.cli import main
+from onebitmc.cli import build_parser, main
 from onebitmc.matrixio import read_matrix, read_samples, read_truth
 
 
@@ -88,14 +91,34 @@ class TestFit:
                        "--out", str(tmp_path / "x.txt"))
         assert code == 1
 
-    def test_non_finite_rel_tol_exits_one(self, truth_file, tmp_path, capsys):
-        # with a NaN tolerance the relative-change stop never fires, and the
-        # fit would run silently to --max-iters
+    def test_non_finite_lambda_exits_one(self, truth_file, tmp_path, capsys):
         code = run_cli("fit", "--truth", str(truth_file), "--n", "60",
-                       "--estimator", "nuclear_penalized", "--rel-tol", "nan",
+                       "--estimator", "nuclear_penalized", "--lambda", "nan",
                        "--out", str(tmp_path / "x.txt"))
         assert code == 1
-        assert "rel_tol must be finite" in capsys.readouterr().err
+        assert "lam must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header, line, message", [
+        pytest.param("n 2", "8 0 1", "outside 8x6", id="row_past_m1"),
+        # a negative index would wrap to the last row in the likelihood
+        pytest.param("n 2", "-1 0 1", "outside 8x6", id="negative_row"),
+        pytest.param("n 2", "0 6 -1", "outside 8x6", id="col_past_m2"),
+        pytest.param("n 2", "1 1 0", "not -1 or +1", id="label_zero"),
+        pytest.param("n 3", "1 1 -1", "header n 3 but 2 samples",
+                     id="n_mismatch"),
+    ])
+    def test_malformed_sample_file_exits_one(self, tmp_path, capsys, header,
+                                             line, message):
+        path = tmp_path / "samples.txt"
+        path.write_text("# m1 8\n# m2 6\n# scheme iid_uniform\n# seed 0\n"
+                        f"# {header}\n0 0 1\n{line}\n")
+        code = run_cli("fit", "--samples", str(path), "--gamma", "1.5",
+                       "--rank", "1", "--estimator", "nuclear_penalized",
+                       "--out", str(tmp_path / "x.txt"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+        assert not (tmp_path / "x.txt").exists()
 
 
 class TestEvaluate:
@@ -126,7 +149,7 @@ class TestSweepAndRate:
         runs3 = tmp_path / "runs3.csv"
         assert run_cli("sweep", "--config", str(sweep_config_file),
                        "--out", str(runs3), "--set", "n_values=[40,80,160]",
-                       "--set", "solver_defaults.rel_tol=1e-6") == 0
+                       "--set", "solver_defaults.max_iters=150") == 0
         assert run_cli("rate", "--config", str(sweep_config_file),
                        "--in", str(runs3), "--out", str(rates)) == 0
         lines = rates.read_text().splitlines()
@@ -171,3 +194,15 @@ class TestMiscCommands:
     def test_unknown_command_exits_one(self, capsys):
         assert run_cli("frobnicate") == 1
         capsys.readouterr()
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1]
+        block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+        commands = [shlex.split(line) for line in
+                    block.replace("\\\n", " ").splitlines() if line.strip()]
+        assert len(commands) >= 6
+        parser = build_parser()
+        for argv in commands:
+            assert argv[0] == "onebitmc"
+            parser.parse_args(argv[1:])

@@ -134,7 +134,7 @@ class TestRunCell:
             frob = risk_report(refit.estimate, truth).frob_error_sq_normalized
             assert rec.frob_error_sq_normalized == frob
             assert rec.iterations == fit.iterations + refit.iterations
-            assert rec.runtime_ms == fit.runtime_ms + refit.runtime_ms
+            assert rec.work == fit.work + refit.work
             assert rec.converged == (fit.converged and refit.converged)
             refit_differs |= frob != risk_report(
                 fit.estimate, truth).frob_error_sq_normalized
@@ -267,12 +267,18 @@ class TestConfigParsing:
         raw = {"shapes": [[8, 8]], "ranks": [1], "gammas": [1.5],
                "n_values": [40], "estimators": ["nuclear_penalized"],
                "replicates": 2, "base_seed": 3,
-               "solver_defaults": {"lambda": 0.05, "max_iters": 100},
+               "solver_defaults": {"max_iters": 100},
                "lambda_grid": [0.01, 0.1]}
         config = sweep_config_from_dict(raw)
         assert config.shapes == (Shape(8, 8),)
-        assert config.solver_defaults["lam"] == 0.05
+        assert config.solver_defaults == {"max_iters": 100}
         assert config.lambda_grid == (0.01, 0.1)
+        # every penalized cell selects its own weight, so a preset one would
+        # be read by no estimator; the stop tolerance is not configurable
+        for key in ("lambda", "lam", "rel_tol"):
+            with pytest.raises(ValueError, match="unknown solver default"):
+                sweep_config_from_dict(
+                    dict(raw, solver_defaults={key: 0.05, "max_iters": 100}))
 
     def test_rejects_unknown_or_missing_keys(self):
         with pytest.raises(ValueError):

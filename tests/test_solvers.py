@@ -12,6 +12,7 @@ from onebitmc import (SampleSet, Shape, SolverConfig, bayes_classifier,
                       solve_maxnorm_constrained, solve_nuclear_constrained,
                       solve_nuclear_penalized)
 from onebitmc.seeding import make_rng
+from onebitmc.solvers import _REL_TOL
 
 import oracles
 
@@ -121,19 +122,19 @@ class TestNuclearConstrained:
 def rejected_candidates(fit, cfg):
     """Candidates a penalized or constrained fit rejected, from its work counter.
 
-    runtime_ms counts the likelihood at the start, one gradient per started
+    work counts the likelihood at the start, one gradient per started
     iteration and one likelihood per candidate.  A fit that stopped because
     no step descended started one iteration more than it accepted.
     """
     trace = fit.objective_trace
     stalled = fit.iterations < cfg.max_iters and (
         fit.iterations == 0 or abs(trace[-1] - trace[-2])
-        > cfg.rel_tol * max(1.0, abs(trace[-2])))
-    return fit.runtime_ms - 1 - 2 * fit.iterations - int(stalled)
+        > _REL_TOL * max(1.0, abs(trace[-2])))
+    return fit.work - 1 - 2 * fit.iterations - int(stalled)
 
 
 class TestBacktrackBudget:
-    """A fit that ends by rel_tol rejects few candidates.
+    """A fit that ends by the _REL_TOL stop rejects few candidates.
 
     A rejection either undoes a try to grow the step, and tries back off
     exponentially while they fail, or halves the step for good, which can
@@ -174,9 +175,9 @@ class TestBacktrackBudget:
             fit = solve_maxnorm_constrained(
                 samples, SolverConfig(gamma=1.5, rank_hint=2, restarts=1))
         assert fit.iterations >= 10
-        # runtime_ms counts the likelihood at the start, then per iteration
+        # work counts the likelihood at the start, then per iteration
         # two gradients and at least one candidate per half step
-        assert fit.runtime_ms - 1 - 4 * fit.iterations <= 30
+        assert fit.work - 1 - 4 * fit.iterations <= 30
 
     def test_constrained_step_grows_back(self):
         # the logistic curvature falls as the iterate grows, so the right
@@ -191,19 +192,33 @@ class TestBacktrackBudget:
 
 class TestFeasibilityReport:
     @pytest.mark.parametrize("solver, lam", [(solve_nuclear_penalized, 0.02),
-                                             (solve_nuclear_constrained, 0.0)])
+                                             (solve_nuclear_constrained, 0.0),
+                                             (solve_maxnorm_constrained, 0.0),
+                                             (refit_low_rank, 0.02)])
     def test_figures_from_one_svd(self, solver, lam):
+        gamma, r = 1.5, 1
         for seed in range(3):
             _, samples = make_problem(m1=8, m2=6, seed=seed, n=120)
-            fit = solver(samples, SolverConfig(gamma=1.5, rank_hint=1, lam=lam,
-                                               max_iters=200))
+            cfg = SolverConfig(gamma=gamma, rank_hint=r, lam=lam, max_iters=200)
+            if solver is refit_low_rank:
+                fit = refit_low_rank(
+                    samples, solve_nuclear_penalized(samples, cfg).estimate, cfg)
+            else:
+                fit = solver(samples, cfg)
             X, rep = fit.estimate, fit.feasibility_report
             assert rep.nuclear_norm == pytest.approx(
                 scipy.linalg.svdvals(X).sum(), rel=1e-10)
-            assert rep.maxnorm_upper_bound == pytest.approx(
-                oracles.balanced_maxnorm_bound(X), rel=1e-12)
-            assert rep.inf_norm_violation == max(
-                0.0, float(np.max(np.abs(X))) - 1.5)
+            if solver in (solve_nuclear_penalized, solve_nuclear_constrained):
+                assert rep.maxnorm_upper_bound == pytest.approx(
+                    oracles.balanced_maxnorm_bound(X), rel=1e-12)
+                assert rep.inf_norm_violation == max(
+                    0.0, float(np.max(np.abs(X))) - gamma)
+            else:
+                # factor fits report their row-norm certificate and the
+                # violation of the product before the clip
+                assert rep.maxnorm_upper_bound <= (gamma * math.sqrt(r)
+                                                   * (1 + 1e-12))
+                assert rep.inf_norm_violation >= 0.0
 
 
 class TestMaxnormConstrained:
@@ -231,11 +246,11 @@ class TestMaxnormConstrained:
         _, samples = make_problem(m1=4, m2=4, r=1, gamma=1.0, n=300, seed=21)
         big = 1e6
         loose = SolverConfig(gamma=big, rank_hint=1, factor_width=4,
-                             rel_tol=1e-9, max_iters=4000)
+                             max_iters=4000)
         fit_factored = solve_maxnorm_constrained(samples, loose)
         fit_plain = solve_nuclear_penalized(
             samples, SolverConfig(gamma=big, rank_hint=1, lam=0.0,
-                                  rel_tol=1e-9, max_iters=4000))
+                                  max_iters=4000))
         obj_factored = neg_log_likelihood(fit_factored.estimate, samples)
         obj_plain = neg_log_likelihood(fit_plain.estimate, samples)
         assert abs(obj_factored - obj_plain) <= 1e-4
@@ -298,8 +313,8 @@ class TestRefitLowRank:
             b = refit_low_rank(samples, X, replace(cfg, seed=cfg.seed + 1))
             assert a.estimate.tobytes() == b.estimate.tobytes()
             assert a.objective_trace.tobytes() == b.objective_trace.tobytes()
-            assert (a.iterations, a.converged, a.runtime_ms) == \
-                (b.iterations, b.converged, b.runtime_ms)
+            assert (a.iterations, a.converged, a.work) == \
+                (b.iterations, b.converged, b.work)
 
     def test_matches_alternating_reference(self):
         for samples, cfg, X, _ in refit_problems():
@@ -313,7 +328,7 @@ class TestRefitLowRank:
             assert np.max(np.abs(fit.estimate - expected)) <= 1e-12
             assert fit.objective_trace.size == len(trace)
             assert np.max(np.abs(fit.objective_trace - trace)) <= 1e-12
-            assert fit.runtime_ms == work
+            assert fit.work == work
 
     def test_rejects_mismatched_shape(self):
         _, samples = make_problem(seed=2, n=50)
@@ -363,18 +378,15 @@ class TestSharedContracts:
             assert np.array_equal(a.estimate, b.estimate)
             assert np.array_equal(a.objective_trace, b.objective_trace)
             assert a.iterations == b.iterations
-            assert a.runtime_ms == b.runtime_ms
+            assert a.work == b.work
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(gamma=-1.0, rank_hint=1)
         with pytest.raises(ValueError):
             SolverConfig(gamma=1.0, rank_hint=3, factor_width=2)
-        with pytest.raises(ValueError):
-            SolverConfig(gamma=1.0, rank_hint=1, rel_tol=0.0)
         for bad in (dict(gamma=math.nan), dict(gamma=math.inf),
-                    dict(gamma=1.0, lam=math.nan), dict(gamma=1.0, lam=math.inf),
-                    dict(gamma=1.0, rel_tol=math.nan)):
+                    dict(gamma=1.0, lam=math.nan), dict(gamma=1.0, lam=math.inf)):
             with pytest.raises(ValueError, match="must be finite"):
                 SolverConfig(rank_hint=1, **bad)
 
