@@ -68,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="penalty weight (nuclear_penalized)")
     fit.add_argument("--max-iters", type=int, default=2000)
     fit.add_argument("--factor-width", type=int)
-    fit.add_argument("--restarts", type=int, default=5)
-    fit.add_argument("--seed", type=int, default=0, help="solver seed (restarts)")
+    fit.add_argument("--seed", type=int, default=0,
+                     help="seed of the max-norm solver's random start")
     fit.set_defaults(func=_cmd_fit)
 
     ev = sub.add_parser("evaluate", help="print a risk report as one CSV line: "
@@ -129,8 +129,7 @@ def _cmd_fit(args) -> int:
                          "provides them")
     config = SolverConfig(gamma=gamma, rank_hint=rank, lam=args.lam,
                           max_iters=args.max_iters,
-                          factor_width=args.factor_width,
-                          restarts=args.restarts, seed=args.seed)
+                          factor_width=args.factor_width, seed=args.seed)
     result = SOLVERS[args.estimator](samples, config)
     write_matrix(args.out, result.estimate,
                  {"estimator": args.estimator, "gamma": f"{gamma:.17g}",

@@ -35,19 +35,31 @@ def write_truth(path, truth: TruthMatrix, seed: int | None = None):
 
 
 def _read_lines(path) -> tuple[dict, list]:
-    """Split a file into its '# key value' metadata and its nonblank body lines."""
+    """Split a file into its '# key value' metadata and its nonblank body lines.
+
+    Each body line comes as (1-based line number in the file, text).
+    """
     metadata = {}
     body = []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if line.startswith("#"):
                 parts = line[1:].strip().split(None, 1)
                 if len(parts) == 2:
                     metadata[parts[0]] = parts[1]
             elif line.strip():
-                body.append(line)
+                body.append((number, line))
     return metadata, body
+
+
+def _parse_line(path, number: int, line: str, kind) -> list:
+    """The whitespace-separated values of one body line, read by kind."""
+    try:
+        return [kind(v) for v in line.split()]
+    except ValueError:
+        raise ValueError(f"{path}, line {number}: cannot read {line!r} as "
+                         f"{kind.__name__} values") from None
 
 
 def read_matrix(path) -> tuple[np.ndarray, dict]:
@@ -55,13 +67,16 @@ def read_matrix(path) -> tuple[np.ndarray, dict]:
     metadata, body = _read_lines(path)
     if not body:
         raise ValueError(f"{path}: no dimension line found")
-    try:
-        m1, m2 = (int(v) for v in body[0].split())
-    except ValueError:
-        raise ValueError(f"{path}: malformed dimension line {body[0]!r}")
+    number, line = body[0]
+    dims = _parse_line(path, number, line, int)
+    if len(dims) != 2:
+        raise ValueError(f"{path}, line {number}: malformed dimension line "
+                         f"{line!r}")
+    m1, m2 = dims
     if len(body) != 1 + m1:
         raise ValueError(f"{path}: expected {m1} rows, found {len(body) - 1}")
-    entries = np.array([[float(v) for v in line.split()] for line in body[1:]])
+    entries = np.array([_parse_line(path, number, line, float)
+                        for number, line in body[1:]])
     if entries.shape != (m1, m2):
         raise ValueError(f"{path}: row width does not match {m2} columns")
     return entries, metadata
@@ -101,7 +116,7 @@ def read_samples(path) -> SampleSet:
     if missing:
         raise ValueError(f"{path}: missing sample metadata {sorted(missing)}")
     shape = Shape(int(metadata["m1"]), int(metadata["m2"]))
-    triples = [[int(v) for v in line.split()] for line in body]
+    triples = [_parse_line(path, number, line, int) for number, line in body]
     if any(len(t) != 3 for t in triples):
         raise ValueError(f"{path}: a sample line is not 'row col label'")
     arr = np.array(triples, dtype=np.int64).reshape(-1, 3)

@@ -7,8 +7,9 @@ Three fits of the same negative mean log-likelihood:
 * nuclear-norm constrained: projected gradient over the intersection of a
   nuclear ball of radius gamma * sqrt(r m1 m2) and the entrywise box, with
   Dykstra's alternating projections supplying the exact projection;
-* max-norm constrained: alternating projected gradient on a two-factor
-  parameterization whose row norms certify a max-norm bound of gamma * sqrt(r).
+* max-norm constrained: alternating projected gradient, from one seeded
+  random start, on a two-factor parameterization whose row norms certify a
+  max-norm bound of gamma * sqrt(r).
 
 refit_low_rank refits the likelihood on rank-r factors started from a given
 estimate, with the max-norm solver's two blocks and row bound.  The sweep
@@ -62,8 +63,9 @@ class SolverConfig:
     """Knobs shared by all three solvers.
 
     gamma and rank_hint are the generator's amplitude bound and rank budget,
-    taken as known.  lam only affects the penalized solver; factor_width and
-    restarts only the max-norm solver.  factor_width defaults to twice the
+    taken as known.  lam only affects the penalized solver and factor_width
+    only the max-norm solver; seed draws the max-norm solver's random start
+    and select_lambda's holdout split.  factor_width defaults to twice the
     rank hint when left unset.  The step sizes (see _StepSize) and the stop
     tolerance (_REL_TOL) are not configured; max_iters caps every fit.
     """
@@ -73,7 +75,6 @@ class SolverConfig:
     lam: float = 0.0
     max_iters: int = 2000
     factor_width: int | None = None
-    restarts: int = 5
     seed: int = 0
 
     def __post_init__(self):
@@ -92,8 +93,6 @@ class SolverConfig:
             raise ValueError("max_iters must be positive")
         if self.factor_width is not None and self.factor_width < self.rank_hint:
             raise ValueError("factor_width must be at least rank_hint")
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
 
     @property
     def effective_factor_width(self) -> int:
@@ -348,16 +347,16 @@ def _row_bound(config: SolverConfig) -> float:
 
 
 def _random_factors(shape: Shape, gamma: float, width: int, seed: int):
-    """Seeded Gaussian factors whose product peaks at half of min(gamma, 2)."""
-    attempt = 0
-    while True:
-        rng = make_rng(mix_seed(seed, attempt))
-        U = rng.standard_normal((shape.m1, width))
-        V = rng.standard_normal((shape.m2, width))
-        peak = float(np.max(np.abs(U @ V.T)))
-        if peak > 0:
-            break
-        attempt += 1
+    """Seeded Gaussian factors whose product peaks at half of min(gamma, 2).
+
+    The stream is keyed by mix_seed(mix_seed(seed, 0), 0); another key would
+    change every max-norm estimate.  The product of two Gaussian matrices is
+    almost surely nonzero, so its peak can be scaled.
+    """
+    rng = make_rng(mix_seed(mix_seed(seed, 0), 0))
+    U = rng.standard_normal((shape.m1, width))
+    V = rng.standard_normal((shape.m2, width))
+    peak = float(np.max(np.abs(U @ V.T)))
     # start the product at half the amplitude bound, capped at unit scale so
     # a loose bound does not strand the iterates far from the optimum
     scale = math.sqrt(min(gamma, 2.0) / 2.0 / peak)
@@ -393,34 +392,20 @@ def solve_maxnorm_constrained(samples: SampleSet, config: SolverConfig) -> FitRe
     The variable is factored as U V^T with factor_width columns; after every
     gradient step each factor's rows are projected onto the Euclidean ball of
     radius sqrt(gamma * sqrt(r)), so the row-norm product certifies the
-    max-norm bound throughout.  Several random restarts are run and the best
-    final objective kept.  The returned estimate is the factor product clipped
-    into the entrywise box, with the pre-clip violation reported.
+    max-norm bound throughout.  The fit runs once, from Gaussian factors
+    drawn with config.seed.  The returned estimate is the factor product
+    clipped into the entrywise box, with the pre-clip violation reported.
     """
     _require_samples(samples)
-    width = config.effective_factor_width
-    row_bound = _row_bound(config)
-    best, best_objective, total_work = None, math.inf, 0
-    for restart in range(config.restarts):
-        try:
-            U, V = _random_factors(samples.shape, config.gamma, width,
-                                   mix_seed(config.seed, restart))
-            run = _fit_factors(samples, config, U, V, row_bound)
-        except SolverNumericalError:
-            continue
-        _, _, trace, _, work = run
-        total_work += work
-        if trace[-1] < best_objective:
-            best, best_objective = run, trace[-1]
-    if best is None:
-        raise SolverNumericalError("all restarts failed")
-
-    return _factor_result(best, config.gamma, total_work)
+    U, V = _random_factors(samples.shape, config.gamma,
+                           config.effective_factor_width, config.seed)
+    run = _fit_factors(samples, config, U, V, _row_bound(config))
+    return _factor_result(run, config.gamma)
 
 
-def _factor_result(run, gamma: float, work: int) -> FitResult:
+def _factor_result(run, gamma: float) -> FitResult:
     """FitResult for _fit_factors's tuple; its row norms certify the bound."""
-    (U, V), product, trace, converged, _ = run
+    (U, V), product, trace, converged, work = run
     bound = float(np.linalg.norm(U, axis=1).max()
                   * np.linalg.norm(V, axis=1).max())
     return _fit_result(product, trace, converged, work, gamma, bound)
@@ -449,7 +434,7 @@ def refit_low_rank(samples: SampleSet, X: np.ndarray,
     root = np.sqrt(t.singular_values[:r])
     run = _fit_factors(samples, config, t.left[:, :r] * root,
                        t.right[:, :r] * root, _row_bound(config))
-    return _factor_result(run, config.gamma, run[-1])
+    return _factor_result(run, config.gamma)
 
 
 def select_lambda(samples: SampleSet, config: SolverConfig, grid) -> float:

@@ -11,7 +11,7 @@ feasibility reports rebuild a matrix from its singular triple or read
 quantities that do not depend on signs, so they call the sign-free
 _thin_svd: flipping a (left, right) pair negates both factors exactly, and
 every reconstruction is the same bit for bit either way.  nuclear_norm asks
-LAPACK for singular values only.
+LAPACK for singular values only, through the same checks as _thin_svd.
 """
 
 from dataclasses import dataclass
@@ -31,17 +31,17 @@ class SvdTriple:
         return (self.left * self.singular_values) @ self.right.T
 
 
-def _thin_svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _thin_svd(X: np.ndarray, compute_uv: bool = True):
     """LAPACK thin SVD (u, s, vt) of a finite matrix, signs as LAPACK left them.
 
-    Raises ValueError on non-finite entries and ArithmeticError when LAPACK
-    does not converge.
+    With compute_uv=False only the singular values s.  Raises ValueError on
+    non-finite entries and ArithmeticError when LAPACK does not converge.
     """
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise ValueError("svd requires finite entries")
     try:
-        return np.linalg.svd(X, full_matrices=False)
+        return np.linalg.svd(X, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"SVD failed to converge on {X.shape} matrix: {exc}")
 
@@ -67,8 +67,8 @@ def svd(X: np.ndarray) -> SvdTriple:
 
 
 def nuclear_norm(X: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(np.asarray(X, dtype=float), compute_uv=False).sum())
+    """Sum of singular values; raises as _thin_svd does."""
+    return float(_thin_svd(X, compute_uv=False).sum())
 
 
 def svt_prox(Z: np.ndarray, tau: float) -> np.ndarray:

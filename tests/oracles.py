@@ -6,12 +6,14 @@ likelihood and nuclear norm are recomputed from scratch on flat arrays).
 The SVD sign convention, the scatter-add gradient and the balanced-factor
 max-norm bound are kept here in their plain per-column / per-sample forms,
 and the solvers' stepping policy as plain gradient descent on the matrix and
-as plain alternating descent on two factors.
+as plain alternating descent on two factors, with the max-norm solver's
+seeded start drawn by hand.
 """
 
 import numpy as np
 
 from onebitmc import neg_log_likelihood, nll_gradient
+from onebitmc.seeding import make_rng, mix_seed
 
 
 def softplus(z):
@@ -218,6 +220,20 @@ def rows_onto_ball(F, bound):
         if norm > bound:
             out[i] = out[i] * (bound / norm)
     return out
+
+
+def seeded_gaussian_start(shape, gamma, width, seed):
+    """The max-norm solver's start: Philox Gaussian factors, product peak min(gamma, 2)/2.
+
+    U (m1 x width) then V (m2 x width) are drawn from one stream keyed by
+    mix_seed(mix_seed(seed, 0), 0); both are scaled by one factor so that
+    the largest entry of U V^T in magnitude is half of min(gamma, 2).
+    """
+    rng = make_rng(mix_seed(mix_seed(seed, 0), 0))
+    U = rng.standard_normal((shape.m1, width))
+    V = rng.standard_normal((shape.m2, width))
+    scale = np.sqrt(min(gamma, 2.0) / 2.0 / np.max(np.abs(U @ V.T)))
+    return U * scale, V * scale
 
 
 def alternating_descent_reference(samples, config, U, V):

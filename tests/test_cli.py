@@ -106,6 +106,8 @@ class TestFit:
         pytest.param("n 2", "1 1 0", "not -1 or +1", id="label_zero"),
         pytest.param("n 3", "1 1 -1", "header n 3 but 2 samples",
                      id="n_mismatch"),
+        pytest.param("n 2", "0 0 x", "line 7: cannot read '0 0 x'",
+                     id="label_not_int"),
     ])
     def test_malformed_sample_file_exits_one(self, tmp_path, capsys, header,
                                              line, message):
@@ -134,6 +136,24 @@ class TestEvaluate:
     def test_missing_file_exits_one(self, truth_file):
         assert run_cli("evaluate", "--estimate", "/nonexistent/x.txt",
                        "--truth", str(truth_file)) == 1
+
+    @pytest.mark.parametrize("malformed", ["estimate", "truth"])
+    def test_malformed_entry_exits_one(self, truth_file, tmp_path, capsys,
+                                       malformed):
+        # five metadata lines and the dimension line precede the rows;
+        # the first entry of the third row, on line 9, becomes 'x'
+        lines = truth_file.read_text().splitlines()
+        assert lines[5] == "8 6"
+        lines[8] = "x" + lines[8][lines[8].index(" "):]
+        path = tmp_path / "malformed.txt"
+        path.write_text("\n".join(lines) + "\n")
+        files = {"estimate": str(truth_file), "truth": str(truth_file)}
+        files[malformed] = str(path)
+        assert run_cli("evaluate", "--estimate", files["estimate"],
+                       "--truth", files["truth"]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}, line 9: cannot read 'x " in err
+        assert "as float values" in err
 
 
 class TestSweepAndRate:
@@ -174,6 +194,9 @@ class TestSweepAndRate:
         assert run_cli("sweep", "--config", str(sweep_config_file),
                        "--out", str(tmp_path / "x.csv"),
                        "--set", "solver_defaults.step_init=1.0") == 1
+        assert run_cli("sweep", "--config", str(sweep_config_file),
+                       "--out", str(tmp_path / "x.csv"),
+                       "--set", "solver_defaults.restarts=3") == 1
         assert run_cli("sweep", "--config", str(sweep_config_file),
                        "--out", str(tmp_path / "x.csv"),
                        "--set", "replicates") == 1

@@ -173,7 +173,7 @@ class TestBacktrackBudget:
             samples = sample_observations(truth, 540, "iid_uniform",
                                           100 + case)
             fit = solve_maxnorm_constrained(
-                samples, SolverConfig(gamma=1.5, rank_hint=2, restarts=1))
+                samples, SolverConfig(gamma=1.5, rank_hint=2))
         assert fit.iterations >= 10
         # work counts the likelihood at the start, then per iteration
         # two gradients and at least one candidate per half step
@@ -255,6 +255,18 @@ class TestMaxnormConstrained:
         obj_plain = neg_log_likelihood(fit_plain.estimate, samples)
         assert abs(obj_factored - obj_plain) <= 1e-4
 
+    def test_matches_alternating_reference(self):
+        # the fit is one descent from the seeded start
+        for seed, width in ((0, None), (1, None), (2, 3)):
+            _, samples = make_problem(m1=8, m2=6, n=200, seed=seed,
+                                      generator="block_sign")
+            cfg = SolverConfig(gamma=1.5, rank_hint=2, factor_width=width,
+                               seed=seed + 11)
+            U, V = oracles.seeded_gaussian_start(
+                samples.shape, cfg.gamma, cfg.effective_factor_width, cfg.seed)
+            assert_matches_alternating_reference(
+                solve_maxnorm_constrained(samples, cfg), samples, cfg, U, V)
+
     def test_recovers_block_sign_pattern(self):
         m, gamma = 40, 1.5
         matches = []
@@ -268,6 +280,17 @@ class TestMaxnormConstrained:
                             == bayes_classifier(truth.entries))
             matches.append(agree)
         assert np.median(matches) >= 0.95
+
+
+def assert_matches_alternating_reference(fit, samples, cfg, U, V):
+    """fit equals oracles.alternating_descent_reference from (U, V)."""
+    product, trace, work = oracles.alternating_descent_reference(
+        samples, cfg, U, V)
+    expected = np.clip(product, -cfg.gamma, cfg.gamma)
+    assert np.max(np.abs(fit.estimate - expected)) <= 1e-12
+    assert fit.objective_trace.size == len(trace)
+    assert np.max(np.abs(fit.objective_trace - trace)) <= 1e-12
+    assert fit.work == work
 
 
 def refit_problems():
@@ -321,14 +344,9 @@ class TestRefitLowRank:
             r = cfg.rank_hint
             u, s, v = oracles.signed_svd(X)
             root = np.sqrt(s[:r])
-            product, trace, work = oracles.alternating_descent_reference(
-                samples, cfg, u[:, :r] * root, v[:, :r] * root)
-            fit = refit_low_rank(samples, X, cfg)
-            expected = np.clip(product, -cfg.gamma, cfg.gamma)
-            assert np.max(np.abs(fit.estimate - expected)) <= 1e-12
-            assert fit.objective_trace.size == len(trace)
-            assert np.max(np.abs(fit.objective_trace - trace)) <= 1e-12
-            assert fit.work == work
+            assert_matches_alternating_reference(
+                refit_low_rank(samples, X, cfg), samples, cfg,
+                u[:, :r] * root, v[:, :r] * root)
 
     def test_rejects_mismatched_shape(self):
         _, samples = make_problem(seed=2, n=50)

@@ -52,6 +52,21 @@ class TestSvd:
         with pytest.raises(ValueError):
             svd(np.array([[1.0, np.nan]]))
 
+    def test_lapack_failure_raises_arithmetic_error(self, monkeypatch):
+        # LinAlgError is a ValueError, which a sweep would not count as one
+        # failed replicate
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        for fn in (svd, nuclear_norm):
+            with pytest.raises(ArithmeticError, match="failed to converge"):
+                fn(np.eye(3))
+
+    def test_nuclear_norm_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            nuclear_norm(np.array([[1.0, np.inf]]))
+
 
 def sign_convention_inputs():
     """Named matrices on which the sign convention has edge cases to get right."""
