@@ -370,7 +370,16 @@ def load_sweep_config(path) -> SweepConfig:
     return sweep_config_from_dict(raw)
 
 
+def _whole(key: str, value) -> int:
+    """value as an int; a ValueError naming key unless it is a whole number."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value)
+            and int(value) == value):
+        raise ValueError(f"{key} must be whole numbers, not {value!r}")
+    return int(value)
+
+
 def sweep_config_from_dict(raw: dict) -> SweepConfig:
+    """The SweepConfig of its fields; absent ones default, counts are whole."""
     known = {f.name for f in fields(SweepConfig)}
     unknown = set(raw) - known
     if unknown:
@@ -380,19 +389,19 @@ def sweep_config_from_dict(raw: dict) -> SweepConfig:
     missing = required - set(raw)
     if missing:
         raise ValueError(f"missing sweep config keys: {sorted(missing)}")
-    shapes = tuple(Shape(int(m1), int(m2)) for m1, m2 in raw["shapes"])
-    defaults = dict(raw.get("solver_defaults") or {})
-    grid = raw.get("lambda_grid")
-    return SweepConfig(
-        shapes=shapes,
-        ranks=tuple(int(r) for r in raw["ranks"]),
+    kwargs = dict(raw)
+    kwargs.update(
+        shapes=tuple(Shape(_whole("shapes", m1), _whole("shapes", m2))
+                     for m1, m2 in raw["shapes"]),
+        ranks=tuple(_whole("ranks", r) for r in raw["ranks"]),
         gammas=tuple(float(g) for g in raw["gammas"]),
-        n_values=tuple(int(n) for n in raw["n_values"]),
-        estimators=tuple(raw["estimators"]),
-        generator=raw.get("generator", "block_sign"),
-        sampling_scheme=raw.get("sampling_scheme", "iid_uniform"),
-        replicates=int(raw.get("replicates", 1)),
-        base_seed=int(raw.get("base_seed", 0)),
-        solver_defaults=defaults,
-        lambda_grid=None if grid is None else tuple(float(v) for v in grid),
-        truth_mode=raw.get("truth_mode", "fresh"))
+        n_values=tuple(_whole("n_values", n) for n in raw["n_values"]),
+        estimators=tuple(raw["estimators"]))
+    for key in ("replicates", "base_seed"):
+        if key in raw:
+            kwargs[key] = _whole(key, raw[key])
+    if "solver_defaults" in raw:
+        kwargs["solver_defaults"] = dict(raw["solver_defaults"] or {})
+    if raw.get("lambda_grid") is not None:
+        kwargs["lambda_grid"] = tuple(float(v) for v in raw["lambda_grid"])
+    return SweepConfig(**kwargs)

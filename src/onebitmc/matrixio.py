@@ -62,6 +62,15 @@ def _parse_line(path, number: int, line: str, kind) -> list:
                          f"{kind.__name__} values") from None
 
 
+def _header_value(path, metadata: dict, key: str, kind):
+    """The '# key value' header entry read by kind."""
+    try:
+        return kind(metadata[key])
+    except ValueError:
+        raise ValueError(f"{path}: cannot read header {key} {metadata[key]!r} "
+                         f"as {kind.__name__}") from None
+
+
 def read_matrix(path) -> tuple[np.ndarray, dict]:
     """Read a matrix file; returns (entries, metadata dict of strings)."""
     metadata, body = _read_lines(path)
@@ -88,9 +97,11 @@ def read_truth(path) -> TruthMatrix:
     missing = required - set(metadata)
     if missing:
         raise ValueError(f"{path}: missing truth metadata {sorted(missing)}")
-    return TruthMatrix(entries=entries, rank_budget=int(metadata["r"]),
-                       gamma=float(metadata["gamma"]),
-                       margin_tau=float(metadata["margin_tau"]),
+    return TruthMatrix(entries=entries,
+                       rank_budget=_header_value(path, metadata, "r", int),
+                       gamma=_header_value(path, metadata, "gamma", float),
+                       margin_tau=_header_value(path, metadata, "margin_tau",
+                                                float),
                        generator_tag=metadata["generator"])
 
 
@@ -108,27 +119,35 @@ def read_samples(path) -> SampleSet:
     """Read a sample-set file of 'row col label' lines.
 
     Every index must lie in the header's m1 x m2 shape, every label be -1 or
-    +1, and an optional '# n' header match the number of lines.
+    +1, and an optional '# n' header match the number of lines.  An error
+    names the file, and the line or header key at fault.
     """
     metadata, body = _read_lines(path)
     required = {"m1", "m2", "scheme", "seed"}
     missing = required - set(metadata)
     if missing:
         raise ValueError(f"{path}: missing sample metadata {sorted(missing)}")
-    shape = Shape(int(metadata["m1"]), int(metadata["m2"]))
+    m1, m2, seed = (_header_value(path, metadata, key, int)
+                    for key in ("m1", "m2", "seed"))
+
+    def fail(i: int, fault: str):
+        number, line = body[i]
+        raise ValueError(f"{path}, line {number}: {line!r} {fault}")
+
     triples = [_parse_line(path, number, line, int) for number, line in body]
-    if any(len(t) != 3 for t in triples):
-        raise ValueError(f"{path}: a sample line is not 'row col label'")
+    short = [len(t) != 3 for t in triples]
+    if any(short):
+        fail(short.index(True), "is not 'row col label'")
     arr = np.array(triples, dtype=np.int64).reshape(-1, 3)
     rows, cols, labels = arr.T
-    if np.any((rows < 0) | (rows >= shape.m1) | (cols < 0) | (cols >= shape.m2)):
-        raise ValueError(f"{path}: a sample index lies outside "
-                         f"{shape.m1}x{shape.m2}")
-    if np.any(np.abs(labels) != 1):
-        raise ValueError(f"{path}: a label is not -1 or +1")
-    if int(metadata.get("n", len(arr))) != len(arr):
+    outside = (rows < 0) | (rows >= m1) | (cols < 0) | (cols >= m2)
+    if outside.any():
+        fail(int(np.argmax(outside)), f"has an index outside {m1}x{m2}")
+    not_sign = np.abs(labels) != 1
+    if not_sign.any():
+        fail(int(np.argmax(not_sign)), "has a label that is not -1 or +1")
+    if "n" in metadata and _header_value(path, metadata, "n", int) != len(arr):
         raise ValueError(f"{path}: header n {metadata['n']} but {len(arr)} "
                          "samples")
     return SampleSet(indices=arr[:, :2], labels=labels.astype(np.int8),
-                     scheme=metadata["scheme"], seed=int(metadata["seed"]),
-                     shape=shape)
+                     scheme=metadata["scheme"], seed=seed, shape=Shape(m1, m2))

@@ -6,7 +6,7 @@ Three fits of the same negative mean log-likelihood:
   norm, restricted to the entrywise box by a clip after each shrinkage step;
 * nuclear-norm constrained: projected gradient over the intersection of a
   nuclear ball of radius gamma * sqrt(r m1 m2) and the entrywise box, with
-  Dykstra's alternating projections supplying the exact projection;
+  Dykstra's alternating projections supplying the projection;
 * max-norm constrained: alternating projected gradient, from one seeded
   random start, on a two-factor parameterization whose row norms certify a
   max-norm bound of gamma * sqrt(r).
@@ -18,15 +18,15 @@ fit the penalized estimator, refit at rank r) to remove the shrinkage the
 penalty leaves on the leading singular values; solve_nuclear_penalized
 itself, and the CLI fit command, return the penalized minimizer.
 
-All three run one descent loop, _descend, which takes its steps with one
-backtracking line search, _backtrack, whose acceptance rule requires the
-objective not to increase, so objective traces are nonincreasing by
-construction.  Each iteration runs one search per block: the penalized and
-constrained solvers pass one block, the matrix, and the max-norm solver and
-the refit two, the factors U then V.  Every search follows one step policy
-(_StepSize): it starts at the last accepted step and grows back only after a
-run of searches that accepted their first candidate.  Every fit stops on one
-tolerance, _REL_TOL, and ends in one builder, _fit_result.  Every solve is
+All three run one descent loop, _descend, from the start to the FitResult.
+It takes its steps with one backtracking line search, _backtrack, whose
+acceptance rule requires the objective not to increase, so objective traces
+are nonincreasing by construction.  Each iteration runs one search per
+block: the penalized and constrained solvers pass one block, the matrix, and
+the max-norm solver and the refit two, the factors U then V.  Every search
+follows one step policy (_StepSize): it starts at the last accepted step and
+grows back only after a run of searches that accepted their first
+candidate.  Every fit stops on one tolerance, _REL_TOL.  Every solve is
 deterministic given (samples, config); FitResult.work counts likelihood and
 gradient evaluations, not wall-clock time, so repeated runs produce
 bit-identical results.
@@ -52,6 +52,8 @@ _STEP_PER_SAMPLE = 4.0
 _REL_TOL = 1e-7
 # a rejected step is multiplied by this, a step that grows back divided by it
 _BACKTRACK = 0.5
+# Dykstra sweeps per box-and-ball projection
+_DYKSTRA_SWEEPS = 100
 
 
 class SolverNumericalError(RuntimeError):
@@ -124,34 +126,6 @@ class FitResult:
     work: int
 
 
-def _require_samples(samples: SampleSet):
-    if samples.n == 0:
-        raise ValueError("sample set is empty")
-
-
-def _fit_result(product: np.ndarray, trace: np.ndarray, converged: bool,
-                work: int, gamma: float, bound: float | None = None) -> FitResult:
-    """The FitResult of every fit: product clipped into the box, and its report.
-
-    The report keeps the pre-clip violation and reads one thin SVD (u, s, vt)
-    of the estimate: the nuclear norm s.sum() and, unless the fit certifies
-    its own bound, the row-norm product of the balanced factors u sqrt(s) and
-    vt.T sqrt(s).  Neither depends on the signs of the singular vectors.
-    """
-    estimate, violation = clip_entries(product, gamma)
-    u, s, vt = _thin_svd(estimate)
-    if bound is None:
-        root = np.sqrt(s)
-        bound = float(np.linalg.norm(u * root, axis=1).max()
-                      * np.linalg.norm(vt.T * root, axis=1).max())
-    report = FeasibilityReport(inf_norm_violation=violation,
-                               nuclear_norm=float(s.sum()),
-                               maxnorm_upper_bound=bound)
-    return FitResult(estimate=estimate, objective_trace=trace,
-                     iterations=len(trace) - 1, converged=converged,
-                     feasibility_report=report, work=work)
-
-
 class _StepSize:
     """The step of one backtracking search and when it may grow back.
 
@@ -211,12 +185,12 @@ def _backtrack(point, grad, g_cur, f_cur, trial, samples, step: _StepSize):
 
 
 def _descend(samples: SampleSet, config: SolverConfig, parts: list,
-             matrix: np.ndarray, blocks):
+             blocks) -> FitResult:
     """Monotone block descent from parts, the one loop of every solver.
 
-    parts is [X] or [U, V], a list the loop updates, and matrix the matrix
-    they stand for; blocks holds one (gradient, move) pair per part.
-    gradient(parts, G) maps the likelihood gradient G at matrix to the
+    parts is [X] or [U, V], a list the loop updates, standing for the matrix
+    X or U V^T; blocks holds one (gradient, move) pair per part.
+    gradient(parts, G) maps the likelihood gradient G at that matrix to the
     block's gradient, and move(parts, grad, size) is the trial of _backtrack:
     (next part, the matrix then, nonsmooth penalty there).  Each iteration
     runs one _backtrack per block in order, each block with its own
@@ -228,9 +202,17 @@ def _descend(samples: SampleSet, config: SolverConfig, parts: list,
     The trace holds the objective at the start, then one entry per iteration
     in which some block moved.  The fit has converged when an iteration moves
     no block, which adds no entry, or when the objective changes by at most
-    _REL_TOL relative to max(1, |previous objective|).  Returns (parts,
-    matrix, trace, converged, work).
+    _REL_TOL relative to max(1, |previous objective|).
+
+    The estimate is the last matrix clipped into the box; the report holds
+    the pre-clip violation and the nuclear norm s.sum() of one thin SVD
+    (u, s, vt) of the estimate.  Its max-norm bound is the product of the
+    largest row norms of [U, V], or of one part's balanced factors u sqrt(s)
+    and vt.T sqrt(s), which do not depend on the singular vectors' signs.
     """
+    if samples.n == 0:
+        raise ValueError("sample set is empty")
+    matrix = parts[0] if len(parts) == 1 else parts[0] @ parts[1].T
     work = 1
     g_cur = f_cur = neg_log_likelihood(matrix, samples)
     trace = [f_cur]
@@ -258,7 +240,18 @@ def _descend(samples: SampleSet, config: SolverConfig, parts: list,
             converged = True
             break
 
-    return parts, matrix, np.asarray(trace), converged, work
+    estimate, violation = clip_entries(matrix, config.gamma)
+    u, s, vt = _thin_svd(estimate)
+    root = np.sqrt(s)
+    U, V = parts if len(parts) == 2 else (u * root, vt.T * root)
+    bound = float(np.linalg.norm(U, axis=1).max()
+                  * np.linalg.norm(V, axis=1).max())
+    report = FeasibilityReport(inf_norm_violation=violation,
+                               nuclear_norm=float(s.sum()),
+                               maxnorm_upper_bound=bound)
+    return FitResult(estimate=estimate, objective_trace=np.asarray(trace),
+                     iterations=len(trace) - 1, converged=converged,
+                     feasibility_report=report, work=work)
 
 
 def solve_nuclear_penalized(samples: SampleSet, config: SolverConfig) -> FitResult:
@@ -269,7 +262,6 @@ def solve_nuclear_penalized(samples: SampleSet, config: SolverConfig) -> FitResu
     estimate satisfies the box exactly; its nuclear norm is recomputed after
     clipping whenever the clip was active.
     """
-    _require_samples(samples)
     lam, gamma = config.lam, config.gamma
 
     def candidate(parts, grad, step):
@@ -282,26 +274,25 @@ def solve_nuclear_penalized(samples: SampleSet, config: SolverConfig) -> FitResu
         return xc, xc, lam * nuc
 
     zero = np.zeros((samples.shape.m1, samples.shape.m2))
-    _, X, trace, converged, work = _descend(samples, config, [zero], zero,
-                                            [(lambda parts, G: G, candidate)])
-    return _fit_result(X, trace, converged, work, gamma)
+    return _descend(samples, config, [zero], [(lambda parts, G: G, candidate)])
 
 
-def _project_ball_box(Z: np.ndarray, radius: float, gamma: float,
-                      max_sweeps: int = 100) -> np.ndarray:
+def _project_ball_box(Z: np.ndarray, radius: float, gamma: float) -> np.ndarray:
     """Euclidean projection onto {||X||_* <= radius, ||X||_inf <= gamma}.
 
-    Dykstra's alternating projections with correction terms; a single
-    composed sweep is not the exact projection and measurably stalls the
-    solver when both constraints bind.  The box projection runs last, so the
-    result satisfies the entrywise bound exactly and the nuclear bound to the
-    sweep tolerance.
+    Dykstra's alternating projections with correction terms, at most
+    _DYKSTRA_SWEEPS sweeps; a single composed sweep is not the exact
+    projection and measurably stalls the solver when both constraints bind.
+    The box projection runs last, so the sweeps end inside the box, but
+    when they stop on the cap, a hair outside the ball; such a point is
+    scaled toward zero onto the ball.  The result satisfies the box bound
+    exactly, and the ball bound up to the rounding of that one scaling.
     """
     X = np.asarray(Z, dtype=float)
     p = np.zeros_like(X)
     q = np.zeros_like(X)
     scale = max(1.0, float(np.max(np.abs(X))))
-    for _ in range(max_sweeps):
+    for _ in range(_DYKSTRA_SWEEPS):
         Y = project_nuclear_ball(X + p, radius)
         p = X + p - Y
         X_new, _ = clip_entries(Y + q, gamma)
@@ -310,7 +301,8 @@ def _project_ball_box(Z: np.ndarray, radius: float, gamma: float,
         X = X_new
         if change <= 1e-13 * scale:
             break
-    return X
+    nuc = nuclear_norm(X)
+    return X * (radius / nuc) if nuc > radius else X
 
 
 def solve_nuclear_constrained(samples: SampleSet, config: SolverConfig) -> FitResult:
@@ -318,10 +310,10 @@ def solve_nuclear_constrained(samples: SampleSet, config: SolverConfig) -> FitRe
 
     Projected gradient; each candidate is projected onto the intersection of
     the nuclear ball of radius gamma * sqrt(r m1 m2) and the entrywise box by
-    Dykstra's alternating projections.  Any residual infeasibility of the
-    final iterate is reported, not hidden.
+    Dykstra's alternating projections, scaled onto the ball where the
+    sweeps stop outside it.  Every candidate, and so the estimate, lies in
+    both sets, and the last trace entry is the likelihood of the estimate.
     """
-    _require_samples(samples)
     shape = samples.shape
     radius = config.gamma * math.sqrt(config.rank_hint * shape.m1 * shape.m2)
     gamma = config.gamma
@@ -331,19 +323,7 @@ def solve_nuclear_constrained(samples: SampleSet, config: SolverConfig) -> FitRe
         return xc, xc, 0.0
 
     zero = np.zeros((shape.m1, shape.m2))
-    _, X, trace, converged, work = _descend(samples, config, [zero], zero,
-                                            [(lambda parts, G: G, candidate)])
-    result = _fit_result(X, trace, converged, work, gamma)
-    # Dykstra can stop on its sweep cap a hair outside the ball
-    if result.feasibility_report.nuclear_norm > radius * (1 + 1e-9):
-        result = _fit_result(_project_ball_box(X, radius, gamma), trace,
-                             converged, work, gamma)
-    return result
-
-
-def _row_bound(config: SolverConfig) -> float:
-    """Row-norm bound on both factors; certifies ||U V^T||_max <= gamma sqrt(r)."""
-    return math.sqrt(config.gamma * math.sqrt(config.rank_hint))
+    return _descend(samples, config, [zero], [(lambda parts, G: G, candidate)])
 
 
 def _random_factors(shape: Shape, gamma: float, width: int, seed: int):
@@ -364,13 +344,16 @@ def _random_factors(shape: Shape, gamma: float, width: int, seed: int):
 
 
 def _fit_factors(samples: SampleSet, config: SolverConfig, U: np.ndarray,
-                 V: np.ndarray, row_bound: float):
+                 V: np.ndarray) -> FitResult:
     """Alternating projected gradient on the likelihood of U V^T from (U, V).
 
     Both starting factors are first projected onto the row-norm ball of
-    radius row_bound, and every step keeps them there.  Each iteration steps
-    U, then V; returns _descend's tuple.
+    radius sqrt(gamma * sqrt(r)), and every step keeps them there, so the
+    row-norm product certifies ||U V^T||_max <= gamma sqrt(r).  Each
+    iteration steps U, then V.
     """
+    row_bound = math.sqrt(config.gamma * math.sqrt(config.rank_hint))
+
     def move_u(parts, grad, size):
         F = project_factor_rows(parts[0] - size * grad, row_bound)
         return F, F @ parts[1].T, 0.0
@@ -381,7 +364,7 @@ def _fit_factors(samples: SampleSet, config: SolverConfig, U: np.ndarray,
 
     U = project_factor_rows(U, row_bound)
     V = project_factor_rows(V, row_bound)
-    return _descend(samples, config, [U, V], U @ V.T,
+    return _descend(samples, config, [U, V],
                     [(lambda parts, G: G @ parts[1], move_u),
                      (lambda parts, G: G.T @ parts[0], move_v)])
 
@@ -396,19 +379,9 @@ def solve_maxnorm_constrained(samples: SampleSet, config: SolverConfig) -> FitRe
     drawn with config.seed.  The returned estimate is the factor product
     clipped into the entrywise box, with the pre-clip violation reported.
     """
-    _require_samples(samples)
     U, V = _random_factors(samples.shape, config.gamma,
                            config.effective_factor_width, config.seed)
-    run = _fit_factors(samples, config, U, V, _row_bound(config))
-    return _factor_result(run, config.gamma)
-
-
-def _factor_result(run, gamma: float) -> FitResult:
-    """FitResult for _fit_factors's tuple; its row norms certify the bound."""
-    (U, V), product, trace, converged, work = run
-    bound = float(np.linalg.norm(U, axis=1).max()
-                  * np.linalg.norm(V, axis=1).max())
-    return _fit_result(product, trace, converged, work, gamma, bound)
+    return _fit_factors(samples, config, U, V)
 
 
 def refit_low_rank(samples: SampleSet, X: np.ndarray,
@@ -424,7 +397,6 @@ def refit_low_rank(samples: SampleSet, X: np.ndarray,
     clip is inactive its rank is at most rank_hint.  The start is
     deterministic, so config.seed plays no part.
     """
-    _require_samples(samples)
     shape = samples.shape
     if np.shape(X) != (shape.m1, shape.m2):
         raise ValueError(f"estimate shape {np.shape(X)} does not match "
@@ -432,9 +404,8 @@ def refit_low_rank(samples: SampleSet, X: np.ndarray,
     r = config.rank_hint
     t = svd(X)
     root = np.sqrt(t.singular_values[:r])
-    run = _fit_factors(samples, config, t.left[:, :r] * root,
-                       t.right[:, :r] * root, _row_bound(config))
-    return _factor_result(run, config.gamma)
+    return _fit_factors(samples, config, t.left[:, :r] * root,
+                        t.right[:, :r] * root)
 
 
 def select_lambda(samples: SampleSet, config: SolverConfig, grid) -> float:

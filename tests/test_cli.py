@@ -99,15 +99,23 @@ class TestFit:
         assert "lam must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("header, line, message", [
-        pytest.param("n 2", "8 0 1", "outside 8x6", id="row_past_m1"),
+        pytest.param("n 2", "8 0 1", "line 7: '8 0 1' has an index outside 8x6",
+                     id="row_past_m1"),
         # a negative index would wrap to the last row in the likelihood
-        pytest.param("n 2", "-1 0 1", "outside 8x6", id="negative_row"),
-        pytest.param("n 2", "0 6 -1", "outside 8x6", id="col_past_m2"),
-        pytest.param("n 2", "1 1 0", "not -1 or +1", id="label_zero"),
+        pytest.param("n 2", "-1 0 1", "line 7: '-1 0 1' has an index outside",
+                     id="negative_row"),
+        pytest.param("n 2", "0 6 -1", "line 7: '0 6 -1' has an index outside",
+                     id="col_past_m2"),
+        pytest.param("n 2", "1 1 0", "line 7: '1 1 0' has a label that is not "
+                     "-1 or +1", id="label_zero"),
         pytest.param("n 3", "1 1 -1", "header n 3 but 2 samples",
                      id="n_mismatch"),
         pytest.param("n 2", "0 0 x", "line 7: cannot read '0 0 x'",
                      id="label_not_int"),
+        pytest.param("n 2", "0 0", "line 7: '0 0' is not 'row col label'",
+                     id="two_fields"),
+        pytest.param("seed x", "1 1 -1", "cannot read header seed 'x' as int",
+                     id="seed_not_int"),
     ])
     def test_malformed_sample_file_exits_one(self, tmp_path, capsys, header,
                                              line, message):
@@ -200,6 +208,9 @@ class TestSweepAndRate:
         assert run_cli("sweep", "--config", str(sweep_config_file),
                        "--out", str(tmp_path / "x.csv"),
                        "--set", "replicates") == 1
+        assert run_cli("sweep", "--config", str(sweep_config_file),
+                       "--out", str(tmp_path / "x.csv"),
+                       "--set", "ranks=[1.5]") == 1
 
 
 class TestMiscCommands:

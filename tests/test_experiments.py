@@ -289,6 +289,28 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             sweep_config_from_dict({"shapes": [[4, 4]]})
 
+    @pytest.mark.parametrize("key, value", [
+        ("shapes", [[8, 8.5]]), ("ranks", [1.7]), ("n_values", [100.9, 200]),
+        ("replicates", 1.9), ("base_seed", 0.5), ("replicates", "2"),
+        ("n_values", [math.inf])],
+        ids=["shape_8.5", "rank_1.7", "n_100.9", "replicates_1.9",
+             "base_seed_0.5", "replicates_str", "n_inf"])
+    def test_rejects_counts_that_are_not_whole(self, key, value):
+        raw = {"shapes": [[8, 8]], "ranks": [1], "gammas": [1.5],
+               "n_values": [40], "estimators": ["nuclear_penalized"]}
+        with pytest.raises(ValueError, match=f"{key} must be whole numbers"):
+            sweep_config_from_dict(dict(raw, **{key: value}))
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        raw = {"shapes": [[8, 8]], "ranks": [1], "gammas": [1.5],
+               "n_values": [40.0], "estimators": ["nuclear_penalized"]}
+        config = sweep_config_from_dict(raw)
+        assert config == SweepConfig(shapes=(Shape(8, 8),), ranks=(1,),
+                                     gammas=(1.5,), n_values=(40,),
+                                     estimators=("nuclear_penalized",))
+        # a whole float reads as its integer
+        assert type(config.n_values[0]) is int
+
     def test_validation(self):
         with pytest.raises(ValueError):
             small_config(replicates=0)

@@ -12,7 +12,7 @@ from onebitmc import (SampleSet, Shape, SolverConfig, bayes_classifier,
                       solve_maxnorm_constrained, solve_nuclear_constrained,
                       solve_nuclear_penalized)
 from onebitmc.seeding import make_rng
-from onebitmc.solvers import _REL_TOL
+from onebitmc.solvers import _REL_TOL, _project_ball_box
 
 import oracles
 
@@ -77,13 +77,6 @@ class TestNuclearPenalized:
             norms.append(nuclear_norm(fit.estimate))
         assert all(norms[i] >= norms[i + 1] - 1e-6 for i in range(len(norms) - 1))
 
-    def test_rejects_empty_samples(self):
-        s = SampleSet(indices=np.zeros((0, 2), np.int64),
-                      labels=np.zeros(0, np.int8), scheme="iid_uniform",
-                      seed=0, shape=Shape(3, 3))
-        with pytest.raises(ValueError):
-            solve_nuclear_penalized(s, SolverConfig(gamma=1.0, rank_hint=1))
-
 
 class TestNuclearConstrained:
     def test_inactive_constraints_match_gradient_descent(self):
@@ -117,6 +110,26 @@ class TestNuclearConstrained:
             radius = 0.6 * math.sqrt(1 * 36)
             assert fit.feasibility_report.nuclear_norm <= radius * (1 + 1e-6)
             assert np.max(np.abs(fit.estimate)) <= 0.6
+
+    def test_projection_lands_in_both_sets(self):
+        # Dykstra stops on its sweep cap a hair outside the ball on all of these
+        rng = make_rng(17)
+        for _ in range(20):
+            X = _project_ball_box(3.0 * rng.standard_normal((20, 16)), 20.0, 1.0)
+            assert np.max(np.abs(X)) <= 1.0
+            assert nuclear_norm(X) <= 20.0 * (1 + 1e-12)
+
+    @pytest.mark.parametrize("seed", range(50, 54))
+    def test_trace_ends_at_the_feasible_estimate(self, seed):
+        _, samples = make_problem(m1=20, m2=16, n=400, seed=seed,
+                                  generator="block_sign")
+        fit = solve_nuclear_constrained(samples,
+                                        SolverConfig(gamma=1.5, rank_hint=2))
+        radius = 1.5 * math.sqrt(2 * 20 * 16)
+        assert fit.objective_trace[-1] == neg_log_likelihood(fit.estimate,
+                                                             samples)
+        assert nuclear_norm(fit.estimate) <= radius * (1 + 1e-12)
+        assert fit.feasibility_report.nuclear_norm <= radius * (1 + 1e-12)
 
 
 def rejected_candidates(fit, cfg):
@@ -397,6 +410,19 @@ class TestSharedContracts:
             assert np.array_equal(a.objective_trace, b.objective_trace)
             assert a.iterations == b.iterations
             assert a.work == b.work
+
+    @pytest.mark.parametrize("fit", [
+        pytest.param(solve_nuclear_penalized, id="nuclear_penalized"),
+        pytest.param(solve_nuclear_constrained, id="nuclear_constrained"),
+        pytest.param(solve_maxnorm_constrained, id="maxnorm_constrained"),
+        pytest.param(lambda s, cfg: refit_low_rank(s, np.ones((3, 3)), cfg),
+                     id="refit_low_rank")])
+    def test_rejects_empty_samples(self, fit):
+        s = SampleSet(indices=np.zeros((0, 2), np.int64),
+                      labels=np.zeros(0, np.int8), scheme="iid_uniform",
+                      seed=0, shape=Shape(3, 3))
+        with pytest.raises(ValueError, match="sample set is empty"):
+            fit(s, SolverConfig(gamma=1.0, rank_hint=1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,114 @@
+"""Print one digest line per fit, to check that a change leaves fits bit-identical.
+
+    PYTHONPATH=src python3 tools/fit_digest.py > after.txt
+    PYTHONPATH=/path/to/other/checkout/src python3 tools/fit_digest.py > before.txt
+    diff before.txt after.txt
+
+The package is imported from PYTHONPATH, so one copy of this script digests
+any checkout; the path of the package it imported goes to standard error.
+Each line names the fit and gives a SHA-256 of the estimate and
+objective-trace bytes, then iterations, converged, work and the three
+feasibility-report fields.  The fits are:
+
+* the seed-301 inputs of the three benchmark workloads, built by
+  bench/run.py: every fit that the sweep_penalized variants run (each
+  selection fit, penalized fit and refit), and every constrained_fit and
+  maxnorm_fit instance;
+* penalized, refit, constrained and max-norm fits of four 20x16 block_sign
+  instances (n=400, gamma=1.5, r=2, truth seeds 50-53, sample seeds
+  1050-1053, penalty weight 0.005, max-norm seed equal to the truth seed).
+
+The bytes depend on the machine and its BLAS, so compare two checkouts on one
+machine; the script is not a test.  It takes about 15 s on one core.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib
+import sys
+from pathlib import Path
+
+# import the package from PYTHONPATH before bench/run.py puts its own
+# checkout's src first on sys.path
+import onebitmc
+from onebitmc import (Shape, SolverConfig, generate_truth, refit_low_rank,
+                      sample_observations, solvers)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import run  # noqa: E402
+
+SEED = 301
+
+
+def digest(label: str, fit) -> str:
+    h = hashlib.sha256(fit.estimate.tobytes())
+    h.update(fit.objective_trace.tobytes())
+    rep = fit.feasibility_report
+    return (f"{label} {h.hexdigest()} {fit.iterations} {fit.converged} "
+            f"{fit.work} {rep.inf_norm_violation!r} {rep.nuclear_norm!r} "
+            f"{rep.maxnorm_upper_bound!r}")
+
+
+def sweep_fits(config) -> list:
+    """(name, FitResult) of every fit one run_sweep call makes, in call order."""
+    fits = []
+
+    def record(name, fn):
+        def wrapper(*args):
+            fit = fn(*args)
+            fits.append((name, fit))
+            return fit
+        return wrapper
+
+    # select_lambda calls solvers.solve_nuclear_penalized, run_cell reads the
+    # registry and its own refit_low_rank name
+    saved = (solvers.solve_nuclear_penalized, dict(solvers.SOLVERS),
+             onebitmc.experiments.refit_low_rank)
+    solvers.solve_nuclear_penalized = record("penalized", saved[0])
+    solvers.SOLVERS["nuclear_penalized"] = record(
+        "penalized", saved[1]["nuclear_penalized"])
+    onebitmc.experiments.refit_low_rank = record("refit", saved[2])
+    try:
+        onebitmc.run_sweep(config, os.devnull)
+    finally:
+        solvers.solve_nuclear_penalized = saved[0]
+        solvers.SOLVERS.update(saved[1])
+        onebitmc.experiments.refit_low_rank = saved[2]
+    return fits
+
+
+def small_instances():
+    for seed in range(50, 54):
+        truth = generate_truth(Shape(20, 16), 2, 1.5, "block_sign", seed)
+        yield seed, sample_observations(truth, 400, "iid_uniform", seed + 1000)
+
+
+def main() -> int:
+    print(f"onebitmc from {Path(onebitmc.__file__).parent}", file=sys.stderr)
+    for v, config in enumerate(run.penalized_sweep(SEED)):
+        for i, (name, fit) in enumerate(sweep_fits(config)):
+            print(digest(f"sweep_penalized[{v}].{i}.{name}", fit))
+    for workload, make in (("constrained_fit", run.constrained_instances),
+                           ("maxnorm_fit", run.maxnorm_instances)):
+        solve = getattr(solvers, run.WORKLOADS[workload].solver_name)
+        for i, inst in enumerate(make(SEED)):
+            print(digest(f"{workload}[{i}]", solve(inst.samples, inst.config)))
+    for seed, samples in small_instances():
+        cfg = SolverConfig(gamma=1.5, rank_hint=2, lam=0.005, seed=seed)
+        penalized = solvers.solve_nuclear_penalized(samples, cfg)
+        print(digest(f"20x16[{seed}].penalized", penalized))
+        print(digest(f"20x16[{seed}].refit",
+                     refit_low_rank(samples, penalized.estimate, cfg)))
+        print(digest(f"20x16[{seed}].constrained",
+                     solvers.solve_nuclear_constrained(samples, cfg)))
+        print(digest(f"20x16[{seed}].maxnorm",
+                     solvers.solve_maxnorm_constrained(samples, cfg)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
