@@ -16,7 +16,7 @@ from .risk import (RiskReport, bayes_classifier, exact_risk, excess_risk,
 from .experiments import (SweepConfig, CellKey, CellResult, ReplicateRecord,
                           RateFit, run_cell, run_sweep, fit_rate,
                           default_lambda_grid, replicate_seed, sweep_cells,
-                          load_sweep_config, sweep_config_from_dict,
+                          sweep_config_from_dict,
                           read_sweep_rows, aggregate_points)
 
 __all__ = [
@@ -32,6 +32,5 @@ __all__ = [
     "monte_carlo_risk", "estimation_error", "risk_report",
     "SweepConfig", "CellKey", "CellResult", "ReplicateRecord", "RateFit",
     "run_cell", "run_sweep", "fit_rate", "default_lambda_grid",
-    "replicate_seed", "sweep_cells", "load_sweep_config",
-    "sweep_config_from_dict", "read_sweep_rows", "aggregate_points",
+    "replicate_seed", "sweep_cells", "sweep_config_from_dict", "read_sweep_rows", "aggregate_points",
 ]

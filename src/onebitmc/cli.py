@@ -3,9 +3,11 @@
 Subcommands: generate (write a ground-truth matrix file), fit (run one
 estimator; nuclear_penalized writes the penalized minimizer, without the
 rank-r refit that sweeps apply), evaluate (risk report for an estimate against
-a truth), sweep (replicated experiment grid to CSV), rate (log-log slope table
-and SVG from a sweep CSV), version.  Exit codes: 0 success, 1 invalid
-arguments or I/O problems, 2 numerical failure.
+a truth), sweep (replicated experiment grid to CSV; --set KEY=VALUE overrides
+any config key, base_seed included), rate (log-log slope table and SVG from a
+sweep CSV alone, for the estimators its aggregate rows name, in registry
+order), version.  Exit codes: 0 success, 1 invalid arguments or I/O problems,
+2 numerical failure.
 """
 
 import argparse
@@ -15,9 +17,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .experiments import (ESTIMATOR_IDS, aggregate_points, load_sweep_config,
-                          read_sweep_rows, run_sweep, sweep_config_from_dict,
-                          fit_rate)
+from .experiments import (ESTIMATOR_IDS, aggregate_points, read_sweep_rows,
+                          run_sweep, sweep_config_from_dict, fit_rate)
 from .matrixio import (read_matrix, read_samples, read_truth, write_matrix,
                        write_samples, write_truth)
 from .model import GENERATORS, SCHEMES, Shape, generate_truth, sample_observations
@@ -67,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--lambda", dest="lam", type=float, default=0.0,
                      help="penalty weight (nuclear_penalized)")
     fit.add_argument("--max-iters", type=int, default=2000)
-    fit.add_argument("--factor-width", type=int)
     fit.add_argument("--seed", type=int, default=0,
                      help="seed of the max-norm solver's random start")
     fit.set_defaults(func=_cmd_fit)
@@ -81,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="run an experiment grid to CSV")
     sw.add_argument("--config", required=True, help="JSON sweep configuration")
     sw.add_argument("--out", required=True, help="output CSV path")
-    sw.add_argument("--seed", type=int, help="override base_seed")
     sw.add_argument("--threads", type=int, default=1,
                     help="worker threads (default: 1)")
     sw.add_argument("--set", dest="overrides", action="append", default=[],
@@ -91,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.set_defaults(func=_cmd_sweep)
 
     rate = sub.add_parser("rate", help="fit log-log slopes from a sweep CSV")
-    rate.add_argument("--config", required=True, help="JSON sweep configuration")
     rate.add_argument("--in", dest="input", required=True, help="sweep CSV")
     rate.add_argument("--out", required=True, help="rate table CSV")
     rate.add_argument("--svg", help="plot path (default: rate table with .svg)")
@@ -128,8 +126,7 @@ def _cmd_fit(args) -> int:
         raise ValueError("--gamma and --rank are required when no truth file "
                          "provides them")
     config = SolverConfig(gamma=gamma, rank_hint=rank, lam=args.lam,
-                          max_iters=args.max_iters,
-                          factor_width=args.factor_width, seed=args.seed)
+                          max_iters=args.max_iters, seed=args.seed)
     result = SOLVERS[args.estimator](samples, config)
     write_matrix(args.out, result.estimate,
                  {"estimator": args.estimator, "gamma": f"{gamma:.17g}",
@@ -176,8 +173,6 @@ def _cmd_sweep(args) -> int:
     with open(args.config) as handle:
         raw = json.load(handle)
     raw = _apply_overrides(raw, args.overrides)
-    if args.seed is not None:
-        raw["base_seed"] = args.seed
     config = sweep_config_from_dict(raw)
     results = run_sweep(config, args.out, threads=args.threads)
     print(f"wrote {sum(len(r.records) for r in results)} replicate rows "
@@ -186,11 +181,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    config = load_sweep_config(args.config)
     rows = read_sweep_rows(args.input)
+    estimators = {row["estimator"] for row in rows
+                  if row["row_kind"] == "aggregate"}
+    unknown = sorted(estimators - set(ESTIMATOR_IDS))
+    if unknown:
+        raise ValueError(f"{args.input}: unknown estimator {unknown[0]!r}")
     out_rows = []
     series = []
-    for estimator in sorted(config.estimators, key=ESTIMATOR_IDS.get):
+    for estimator in sorted(estimators, key=ESTIMATOR_IDS.get):
         for key, vals in sorted(aggregate_points(rows, estimator).items()):
             m1, m2, r, gamma = key
             points = [(n, excess) for n, excess, _ in vals]

@@ -11,7 +11,6 @@ used to check how fast the excess shrinks with the sample count.
 """
 
 import csv
-import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -57,7 +56,6 @@ class SweepConfig:
     base_seed: int = 0
     solver_defaults: dict = field(default_factory=dict)
     lambda_grid: tuple | None = None
-    truth_mode: str = "fresh"
 
     def __post_init__(self):
         for name in ("shapes", "ranks", "gammas", "n_values", "estimators"):
@@ -67,6 +65,12 @@ class SweepConfig:
             raise ValueError("replicates must be positive")
         if any(n < 1 for n in self.n_values):
             raise ValueError("every n value must be positive")
+        # checked here, because run_sweep truncates its output before the
+        # first cell builds a SolverConfig
+        for g in self.gammas:
+            if (isinstance(g, bool) or not isinstance(g, (int, float))
+                    or not math.isfinite(g) or g <= 0):
+                raise ValueError(f"gammas must be finite and positive, not {g!r}")
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {est!r}")
@@ -74,8 +78,6 @@ class SweepConfig:
             raise ValueError(f"unknown generator {self.generator!r}")
         if self.sampling_scheme not in SCHEMES:
             raise ValueError(f"unknown sampling scheme {self.sampling_scheme!r}")
-        if self.truth_mode not in ("fresh", "fixed"):
-            raise ValueError("truth_mode must be 'fresh' or 'fixed'")
         for key in self.solver_defaults:
             if key not in _SOLVER_DEFAULT_KEYS:
                 raise ValueError(f"unknown solver default {key!r}")
@@ -150,26 +152,23 @@ def _solver_config(key: CellKey, config: SweepConfig, seed: int,
 def run_cell(key: CellKey, config: SweepConfig) -> CellResult:
     """Run all replicates of one grid cell and aggregate.
 
-    Each replicate's truth and samples are drawn once; under truth_mode
-    "fixed" every replicate's truth is replicate 0's.  The penalty weight for
-    nuclear_penalized is selected once on replicate 0's samples and frozen
-    for every replicate of the cell; each replicate's
-    penalized fit is then refit at rank r, and the refit's estimate is the
-    one evaluated.  Such a replicate's iterations and work are the sums
-    over the fit and the refit, and it counts as converged only if both
-    stages converged.  A replicate whose fit or refit hits a numerical
-    failure (SolverNumericalError, or an ArithmeticError such as an SVD that
-    LAPACK cannot converge) is recorded as failed and skipped in the
-    aggregates; more than 20% failures abort the cell.
+    Each replicate draws its own truth and samples, once.  The penalty weight
+    for nuclear_penalized is selected once on replicate 0's samples and
+    frozen for every replicate of the cell; each replicate's penalized fit is
+    then refit at rank r, and the refit's estimate is the one evaluated.
+    Such a replicate's iterations and work are the sums over the fit and the
+    refit, and it counts as converged only if both stages converged.  A
+    replicate whose fit or refit hits a numerical failure
+    (SolverNumericalError, or an ArithmeticError such as an SVD that LAPACK
+    cannot converge) is recorded as failed and skipped in the aggregates;
+    more than 20% failures abort the cell.
     """
     solver = SOLVERS[key.estimator]
-    seed0 = replicate_seed(config.base_seed, key, 0)
 
     def draw(t):
         seed_t = replicate_seed(config.base_seed, key, t)
-        truth_seed = seed0 if config.truth_mode == "fixed" else seed_t
         truth = generate_truth(key.shape, key.r, key.gamma, config.generator,
-                               mix_seed(truth_seed, TAG_TRUTH))
+                               mix_seed(seed_t, TAG_TRUTH))
         return seed_t, truth, sample_observations(
             truth, key.n, config.sampling_scheme, mix_seed(seed_t, TAG_SAMPLES))
 
@@ -179,7 +178,8 @@ def run_cell(key: CellKey, config: SweepConfig) -> CellResult:
         grid = (config.lambda_grid if config.lambda_grid is not None
                 else default_lambda_grid(key.shape, key.n))
         lam_frozen = select_lambda(
-            first[2], _solver_config(key, config, mix_seed(seed0, TAG_SOLVER), None),
+            first[2],
+            _solver_config(key, config, mix_seed(first[0], TAG_SOLVER), None),
             grid)
 
     records = []
@@ -252,12 +252,11 @@ def _fmt(x) -> str:
 
 
 def _replicate_row(key: CellKey, config: SweepConfig, rec: ReplicateRecord):
-    generator = config.generator + (":fixed" if config.truth_mode == "fixed" else "")
     return ["replicate", key.estimator, str(key.shape.m1), str(key.shape.m2),
             str(key.r), _fmt(key.gamma),
             "" if rec.failed else _fmt(rec.margin_tau),
-            generator, config.sampling_scheme, str(key.n), str(rec.replicate),
-            str(rec.seed), _fmt(rec.lambda_used),
+            config.generator, config.sampling_scheme, str(key.n),
+            str(rec.replicate), str(rec.seed), _fmt(rec.lambda_used),
             "" if rec.failed else _fmt(rec.excess),
             "" if rec.failed else _fmt(rec.risk),
             "" if rec.failed else _fmt(rec.bayes_risk),
@@ -269,10 +268,9 @@ def _replicate_row(key: CellKey, config: SweepConfig, rec: ReplicateRecord):
 
 def _aggregate_row(result: CellResult, config: SweepConfig):
     key = result.key
-    generator = config.generator + (":fixed" if config.truth_mode == "fixed" else "")
     return ["aggregate", key.estimator, str(key.shape.m1), str(key.shape.m2),
-            str(key.r), _fmt(key.gamma), "", generator, config.sampling_scheme,
-            str(key.n), "", "", _fmt(result.lambda_used),
+            str(key.r), _fmt(key.gamma), "", config.generator,
+            config.sampling_scheme, str(key.n), "", "", _fmt(result.lambda_used),
             _fmt(result.mean_excess), _fmt(result.mean_risk),
             _fmt(result.mean_bayes_risk), _fmt(result.mean_frob), "", "", ""]
 
@@ -363,17 +361,10 @@ def aggregate_points(rows, estimator: str):
     return {key: sorted(vals) for key, vals in groups.items()}
 
 
-def load_sweep_config(path) -> SweepConfig:
-    """Parse a JSON sweep configuration whose keys are the SweepConfig fields."""
-    with open(path) as handle:
-        raw = json.load(handle)
-    return sweep_config_from_dict(raw)
-
-
 def _whole(key: str, value) -> int:
     """value as an int; a ValueError naming key unless it is a whole number."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value)
-            and int(value) == value):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or int(value) != value):
         raise ValueError(f"{key} must be whole numbers, not {value!r}")
     return int(value)
 
@@ -394,14 +385,19 @@ def sweep_config_from_dict(raw: dict) -> SweepConfig:
         shapes=tuple(Shape(_whole("shapes", m1), _whole("shapes", m2))
                      for m1, m2 in raw["shapes"]),
         ranks=tuple(_whole("ranks", r) for r in raw["ranks"]),
-        gammas=tuple(float(g) for g in raw["gammas"]),
+        # a JSON integer reads as a float; SweepConfig rejects other types
+        gammas=tuple(float(g) if type(g) is int else g for g in raw["gammas"]),
         n_values=tuple(_whole("n_values", n) for n in raw["n_values"]),
         estimators=tuple(raw["estimators"]))
     for key in ("replicates", "base_seed"):
         if key in raw:
             kwargs[key] = _whole(key, raw[key])
     if "solver_defaults" in raw:
-        kwargs["solver_defaults"] = dict(raw["solver_defaults"] or {})
+        defaults = dict(raw["solver_defaults"] or {})
+        if "max_iters" in defaults:
+            defaults["max_iters"] = _whole("solver_defaults.max_iters",
+                                           defaults["max_iters"])
+        kwargs["solver_defaults"] = defaults
     if raw.get("lambda_grid") is not None:
         kwargs["lambda_grid"] = tuple(float(v) for v in raw["lambda_grid"])
     return SweepConfig(**kwargs)

@@ -65,21 +65,25 @@ class SolverConfig:
     """Knobs shared by all three solvers.
 
     gamma and rank_hint are the generator's amplitude bound and rank budget,
-    taken as known.  lam only affects the penalized solver and factor_width
-    only the max-norm solver; seed draws the max-norm solver's random start
-    and select_lambda's holdout split.  factor_width defaults to twice the
-    rank hint when left unset.  The step sizes (see _StepSize) and the stop
-    tolerance (_REL_TOL) are not configured; max_iters caps every fit.
+    taken as known.  lam only affects the penalized solver; seed draws the
+    max-norm solver's random start and select_lambda's holdout split.  The
+    max-norm factors are 2 * rank_hint wide, the step sizes (see _StepSize)
+    and the stop tolerance (_REL_TOL) are not configured, and max_iters caps
+    every fit.
     """
 
     gamma: float
     rank_hint: int
     lam: float = 0.0
     max_iters: int = 2000
-    factor_width: int | None = None
     seed: int = 0
 
     def __post_init__(self):
+        # a float count fails only inside the solve, and a bool reads as 0 or 1
+        for name in ("rank_hint", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         # NaN passes every comparison below, and an infinite bound or weight
         # fails only deep inside the solve
         for name in ("gamma", "lam"):
@@ -93,12 +97,6 @@ class SolverConfig:
             raise ValueError("lam must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.factor_width is not None and self.factor_width < self.rank_hint:
-            raise ValueError("factor_width must be at least rank_hint")
-
-    @property
-    def effective_factor_width(self) -> int:
-        return self.factor_width if self.factor_width is not None else 2 * self.rank_hint
 
 
 @dataclass(frozen=True)
@@ -372,15 +370,15 @@ def _fit_factors(samples: SampleSet, config: SolverConfig, U: np.ndarray,
 def solve_maxnorm_constrained(samples: SampleSet, config: SolverConfig) -> FitResult:
     """Minimize the likelihood under a certified max-norm bound of gamma * sqrt(r).
 
-    The variable is factored as U V^T with factor_width columns; after every
+    The variable is factored as U V^T with 2 * rank_hint columns; after every
     gradient step each factor's rows are projected onto the Euclidean ball of
     radius sqrt(gamma * sqrt(r)), so the row-norm product certifies the
     max-norm bound throughout.  The fit runs once, from Gaussian factors
     drawn with config.seed.  The returned estimate is the factor product
     clipped into the entrywise box, with the pre-clip violation reported.
     """
-    U, V = _random_factors(samples.shape, config.gamma,
-                           config.effective_factor_width, config.seed)
+    U, V = _random_factors(samples.shape, config.gamma, 2 * config.rank_hint,
+                           config.seed)
     return _fit_factors(samples, config, U, V)
 
 

@@ -144,7 +144,7 @@ class TestCriterion3:
             gaps["constrained"] = max(gaps["constrained"], abs(val - ref))
 
             fit = solve_maxnorm_constrained(
-                samples, SolverConfig(gamma=gamma, rank_hint=2, factor_width=4))
+                samples, SolverConfig(gamma=gamma, rank_hint=2))
             val = neg_log_likelihood(fit.estimate, samples)
             _, ref = oracles.oracle_box_only(samples, gamma)
             gaps["maxnorm"] = max(gaps["maxnorm"], abs(val - ref))

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import shlex
@@ -170,7 +171,8 @@ class TestSweepAndRate:
         runs = tmp_path / "runs.csv"
         rates = tmp_path / "rates.csv"
         assert run_cli("sweep", "--config", str(sweep_config_file),
-                       "--out", str(runs), "--seed", "7", "--threads", "2") == 0
+                       "--out", str(runs), "--set", "base_seed=7",
+                       "--threads", "2") == 0
         rows = read_sweep_rows(runs)
         assert len(rows) == 2 * 2 + 2
         # slope fitting needs >= 3 points; extend the grid via override
@@ -178,13 +180,37 @@ class TestSweepAndRate:
         assert run_cli("sweep", "--config", str(sweep_config_file),
                        "--out", str(runs3), "--set", "n_values=[40,80,160]",
                        "--set", "solver_defaults.max_iters=150") == 0
-        assert run_cli("rate", "--config", str(sweep_config_file),
-                       "--in", str(runs3), "--out", str(rates)) == 0
+        assert run_cli("rate", "--in", str(runs3), "--out", str(rates)) == 0
         lines = rates.read_text().splitlines()
         assert len(lines) == 1 + 1  # header plus one (shape, r, gamma) group
         assert (tmp_path / "rates.svg").exists()
         svg = (tmp_path / "rates.svg").read_text()
         assert svg.startswith("<svg") and "slope=" in svg
+
+    def test_rate_takes_estimators_from_the_csv(self, sweep_config_file,
+                                                tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        rates = tmp_path / "rates.csv"
+        assert run_cli("sweep", "--config", str(sweep_config_file),
+                       "--out", str(runs), "--set", "n_values=[40,80,160]",
+                       "--set", 'estimators=["maxnorm_constrained",'
+                       '"nuclear_constrained"]') == 0
+        assert run_cli("rate", "--in", str(runs), "--out", str(rates)) == 0
+        with open(rates, newline="") as handle:
+            table = list(csv.DictReader(handle))
+        # registry order, not the order the config lists them in
+        assert [row["estimator"] for row in table] == [
+            "nuclear_constrained", "maxnorm_constrained"]
+        assert all(row["n_points"] == "3" for row in table)
+        # an estimator outside the registry is named, not skipped
+        text = runs.read_text()
+        bogus = tmp_path / "bogus.csv"
+        bogus.write_text(text.replace("aggregate,maxnorm_constrained",
+                                      "aggregate,bogus_estimator"))
+        capsys.readouterr()
+        assert run_cli("rate", "--in", str(bogus),
+                       "--out", str(tmp_path / "b.csv")) == 1
+        assert "unknown estimator 'bogus_estimator'" in capsys.readouterr().err
 
     def test_sweep_deterministic_across_threads(self, sweep_config_file,
                                                 tmp_path):
@@ -211,6 +237,47 @@ class TestSweepAndRate:
         assert run_cli("sweep", "--config", str(sweep_config_file),
                        "--out", str(tmp_path / "x.csv"),
                        "--set", "ranks=[1.5]") == 1
+        assert run_cli("sweep", "--config", str(sweep_config_file),
+                       "--out", str(tmp_path / "x.csv"),
+                       "--set", "solver_defaults.max_iters=40.5") == 1
+        assert run_cli("sweep", "--config", str(sweep_config_file),
+                       "--out", str(tmp_path / "x.csv"),
+                       "--set", "solver_defaults.max_iters=true") == 1
+
+    @pytest.mark.parametrize("gammas", ["[-1]", "[NaN]", '["1.5"]'],
+                             ids=["negative", "nan", "string"])
+    def test_bad_gammas_leave_the_output_untouched(self, sweep_config_file,
+                                                   tmp_path, capsys, gammas):
+        out = tmp_path / "runs.csv"
+        out.write_text("earlier results\n")
+        assert run_cli("sweep", "--config", str(sweep_config_file),
+                       "--out", str(out), "--set", f"gammas={gammas}") == 1
+        assert "gammas must be finite and positive" in capsys.readouterr().err
+        assert out.read_text() == "earlier results\n"
+
+    @pytest.mark.parametrize("command, argv, message", [
+        pytest.param("sweep", ["--seed", "7"], "unrecognized arguments",
+                     id="sweep_seed"),
+        pytest.param("sweep", ["--set", "truth_mode=fixed"],
+                     "unknown sweep config keys", id="truth_mode"),
+        pytest.param("sweep", ["--set", "solver_defaults.factor_width=4"],
+                     "unknown solver default", id="sweep_factor_width"),
+        pytest.param("rate", ["--config", "c.json"], "unrecognized arguments",
+                     id="rate_config"),
+        pytest.param("fit", ["--factor-width", "4"], "unrecognized arguments",
+                     id="fit_factor_width"),
+    ])
+    def test_deleted_options_exit_one(self, truth_file, sweep_config_file,
+                                      tmp_path, capsys, command, argv,
+                                      message):
+        out = tmp_path / "out.csv"
+        base = {"sweep": ["--config", str(sweep_config_file)],
+                "rate": ["--in", str(tmp_path / "runs.csv")],
+                "fit": ["--truth", str(truth_file), "--n", "60",
+                        "--estimator", "maxnorm_constrained"]}[command]
+        assert run_cli(command, *base, "--out", str(out), *argv) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMiscCommands:

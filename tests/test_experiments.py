@@ -151,15 +151,12 @@ class TestRunCell:
             excesses.append(cell.mean_excess)
         assert np.median(excesses) < 0.01
 
-    def test_fresh_truth_varies_and_fixed_does_not(self):
+    def test_fresh_truth_varies(self):
         key = CellKey(Shape(8, 8), 1, 1.5, 40, "nuclear_constrained")
-        fresh = run_cell(key, small_config())
-        margins = {r.seed for r in fresh.records}
-        assert len(margins) == 3  # distinct replicate seeds
-        fixed = run_cell(key, small_config(truth_mode="fixed",
-                                           generator="gaussian_factor"))
-        taus = {r.margin_tau for r in fixed.records}
-        assert len(taus) == 1
+        fresh = run_cell(key, small_config(generator="gaussian_factor"))
+        assert len({r.seed for r in fresh.records}) == 3
+        # a gaussian_factor truth's margin differs from draw to draw
+        assert len({r.margin_tau for r in fresh.records}) == 3
 
 
 class TestRunSweep:
@@ -292,13 +289,17 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key, value", [
         ("shapes", [[8, 8.5]]), ("ranks", [1.7]), ("n_values", [100.9, 200]),
         ("replicates", 1.9), ("base_seed", 0.5), ("replicates", "2"),
-        ("n_values", [math.inf])],
+        ("n_values", [math.inf]), ("ranks", [True]), ("replicates", True),
+        ("solver_defaults", {"max_iters": 40.5}),
+        ("solver_defaults", {"max_iters": True})],
         ids=["shape_8.5", "rank_1.7", "n_100.9", "replicates_1.9",
-             "base_seed_0.5", "replicates_str", "n_inf"])
+             "base_seed_0.5", "replicates_str", "n_inf", "rank_true",
+             "replicates_true", "max_iters_40.5", "max_iters_true"])
     def test_rejects_counts_that_are_not_whole(self, key, value):
         raw = {"shapes": [[8, 8]], "ranks": [1], "gammas": [1.5],
                "n_values": [40], "estimators": ["nuclear_penalized"]}
-        with pytest.raises(ValueError, match=f"{key} must be whole numbers"):
+        # a solver default is named with its key, solver_defaults.max_iters
+        with pytest.raises(ValueError, match=f"{key}.* must be whole numbers"):
             sweep_config_from_dict(dict(raw, **{key: value}))
 
     def test_absent_keys_take_the_dataclass_defaults(self):
@@ -318,8 +319,10 @@ class TestConfigParsing:
             small_config(estimators=("bogus",))
         with pytest.raises(ValueError):
             small_config(solver_defaults={"gamma": 1.0})
-        with pytest.raises(ValueError):
-            small_config(truth_mode="other")
+        for gammas in ((-1.0,), (0.0,), (math.nan,), (math.inf,), ("1.5",),
+                       (True,)):
+            with pytest.raises(ValueError, match="gammas must be finite"):
+                small_config(gammas=gammas)
 
     def test_default_lambda_grid_spans_scaled_range(self):
         grid = default_lambda_grid(Shape(100, 100), 2000)

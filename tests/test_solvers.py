@@ -250,7 +250,7 @@ class TestMaxnormConstrained:
             # rank hint 2 makes the max-norm radius cover the whole box, so
             # the reference is the likelihood minimum over the box alone
             fit = solve_maxnorm_constrained(
-                samples, SolverConfig(gamma=gamma, rank_hint=2, factor_width=4))
+                samples, SolverConfig(gamma=gamma, rank_hint=2))
             achieved = neg_log_likelihood(fit.estimate, samples)
             _, oracle_val = oracles.oracle_box_only(samples, gamma)
             assert achieved <= oracle_val + 1e-3
@@ -258,8 +258,7 @@ class TestMaxnormConstrained:
     def test_huge_bound_matches_unpenalized(self):
         _, samples = make_problem(m1=4, m2=4, r=1, gamma=1.0, n=300, seed=21)
         big = 1e6
-        loose = SolverConfig(gamma=big, rank_hint=1, factor_width=4,
-                             max_iters=4000)
+        loose = SolverConfig(gamma=big, rank_hint=2, max_iters=4000)
         fit_factored = solve_maxnorm_constrained(samples, loose)
         fit_plain = solve_nuclear_penalized(
             samples, SolverConfig(gamma=big, rank_hint=1, lam=0.0,
@@ -270,13 +269,12 @@ class TestMaxnormConstrained:
 
     def test_matches_alternating_reference(self):
         # the fit is one descent from the seeded start
-        for seed, width in ((0, None), (1, None), (2, 3)):
+        for seed, rank in ((0, 2), (1, 2), (2, 1)):
             _, samples = make_problem(m1=8, m2=6, n=200, seed=seed,
                                       generator="block_sign")
-            cfg = SolverConfig(gamma=1.5, rank_hint=2, factor_width=width,
-                               seed=seed + 11)
+            cfg = SolverConfig(gamma=1.5, rank_hint=rank, seed=seed + 11)
             U, V = oracles.seeded_gaussian_start(
-                samples.shape, cfg.gamma, cfg.effective_factor_width, cfg.seed)
+                samples.shape, cfg.gamma, 2 * rank, cfg.seed)
             assert_matches_alternating_reference(
                 solve_maxnorm_constrained(samples, cfg), samples, cfg, U, V)
 
@@ -427,8 +425,11 @@ class TestSharedContracts:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(gamma=-1.0, rank_hint=1)
-        with pytest.raises(ValueError):
-            SolverConfig(gamma=1.0, rank_hint=3, factor_width=2)
+        for bad in (dict(rank_hint=1.5), dict(rank_hint=True),
+                    dict(rank_hint=1, max_iters=40.5),
+                    dict(rank_hint=1, max_iters=True)):
+            with pytest.raises(ValueError, match="must be an int"):
+                SolverConfig(gamma=1.5, **bad)
         for bad in (dict(gamma=math.nan), dict(gamma=math.inf),
                     dict(gamma=1.0, lam=math.nan), dict(gamma=1.0, lam=math.inf)):
             with pytest.raises(ValueError, match="must be finite"):

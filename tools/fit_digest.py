@@ -18,6 +18,10 @@ feasibility-report fields.  The fits are:
   instances (n=400, gamma=1.5, r=2, truth seeds 50-53, sample seeds
   1050-1053, penalty weight 0.005, max-norm seed equal to the truth seed).
 
+A last line gives the SHA-256 of the CSV that run_sweep writes for a 20x20
+block_sign grid over all three estimators (r=2, gamma=1.5, n 100/200/400,
+3 replicates, base seed 5).
+
 The bytes depend on the machine and its BLAS, so compare two checkouts on one
 machine; the script is not a test.  It takes about 15 s on one core.
 """
@@ -30,13 +34,15 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 # import the package from PYTHONPATH before bench/run.py puts its own
 # checkout's src first on sys.path
 import onebitmc
-from onebitmc import (Shape, SolverConfig, generate_truth, refit_low_rank,
-                      sample_observations, solvers)
+from onebitmc import (ESTIMATORS, Shape, SolverConfig, SweepConfig,
+                      generate_truth, refit_low_rank, sample_observations,
+                      solvers)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import run  # noqa: E402
@@ -107,6 +113,13 @@ def main() -> int:
                      solvers.solve_nuclear_constrained(samples, cfg)))
         print(digest(f"20x16[{seed}].maxnorm",
                      solvers.solve_maxnorm_constrained(samples, cfg)))
+    grid = SweepConfig(shapes=(Shape(20, 20),), ranks=(2,), gammas=(1.5,),
+                       n_values=(100, 200, 400), estimators=ESTIMATORS,
+                       replicates=3, base_seed=5)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.csv"
+        onebitmc.run_sweep(grid, path)
+        print(f"sweep_csv {hashlib.sha256(path.read_bytes()).hexdigest()}")
     return 0
 
 
