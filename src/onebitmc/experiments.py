@@ -43,6 +43,13 @@ _SOLVER_DEFAULT_KEYS = tuple(f.name for f in fields(SolverConfig) if f.name
                              not in ("gamma", "rank_hint", "seed", "lam"))
 
 
+def _check_positive(key: str, value):
+    """A ValueError naming key unless value is a finite positive number."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value <= 0):
+        raise ValueError(f"{key} must be finite and positive, not {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     shapes: tuple
@@ -65,12 +72,22 @@ class SweepConfig:
             raise ValueError("replicates must be positive")
         if any(n < 1 for n in self.n_values):
             raise ValueError("every n value must be positive")
-        # checked here, because run_sweep truncates its output before the
-        # first cell builds a SolverConfig
+        # gammas, ranks and the lambda grid are checked here, because
+        # run_sweep truncates its output before the first cell builds a
+        # SolverConfig or a truth
         for g in self.gammas:
-            if (isinstance(g, bool) or not isinstance(g, (int, float))
-                    or not math.isfinite(g) or g <= 0):
-                raise ValueError(f"gammas must be finite and positive, not {g!r}")
+            _check_positive("gammas", g)
+        for shape in self.shapes:
+            for r in self.ranks:
+                if not 1 <= r <= shape.min_dim:
+                    raise ValueError(f"rank budget {r} outside "
+                                     f"[1, {shape.min_dim}] of shape "
+                                     f"{shape.m1}x{shape.m2}")
+        if self.lambda_grid is not None:
+            if not self.lambda_grid:
+                raise ValueError("lambda_grid must be nonempty")
+            for lam in self.lambda_grid:
+                _check_positive("lambda_grid", lam)
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {est!r}")
@@ -340,10 +357,24 @@ def fit_rate(points) -> RateFit:
                    r_squared=r_squared, points=tuple(kept))
 
 
+# the columns aggregate_points and the rate command read
+_RATE_COLUMNS = ("row_kind", "estimator", "m1", "m2", "r", "gamma", "n",
+                 "excess", "frob_err_sq_norm")
+
+
 def read_sweep_rows(path) -> list:
-    """Read a sweep CSV back as a list of column-name dicts."""
+    """Read a sweep CSV back as a list of column-name dicts.
+
+    A ValueError names the file and the first column that aggregate_points
+    reads and the header lacks; a file without a header lacks them all.
+    """
     with open(path, newline="") as handle:
-        return list(csv.DictReader(handle))
+        reader = csv.DictReader(handle)
+        for column in _RATE_COLUMNS:
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: no {column!r} column; "
+                                 "not a sweep CSV")
+        return list(reader)
 
 
 def aggregate_points(rows, estimator: str):
@@ -361,6 +392,16 @@ def aggregate_points(rows, estimator: str):
     return {key: sorted(vals) for key, vals in groups.items()}
 
 
+# keys of a sweep config whose values are JSON lists
+_LIST_KEYS = ("shapes", "ranks", "gammas", "n_values", "estimators",
+              "lambda_grid")
+
+
+def _floats(values) -> tuple:
+    """values with each int as a float; other types are left for SweepConfig."""
+    return tuple(float(v) if type(v) is int else v for v in values)
+
+
 def _whole(key: str, value) -> int:
     """value as an int; a ValueError naming key unless it is a whole number."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
@@ -370,7 +411,11 @@ def _whole(key: str, value) -> int:
 
 
 def sweep_config_from_dict(raw: dict) -> SweepConfig:
-    """The SweepConfig of its fields; absent ones default, counts are whole."""
+    """The SweepConfig of its fields; absent ones default, counts are whole.
+
+    The grid keys and lambda_grid must be lists, each shape a [m1, m2] pair,
+    and solver_defaults a mapping; a ValueError names the key that is not.
+    """
     known = {f.name for f in fields(SweepConfig)}
     unknown = set(raw) - known
     if unknown:
@@ -380,13 +425,23 @@ def sweep_config_from_dict(raw: dict) -> SweepConfig:
     missing = required - set(raw)
     if missing:
         raise ValueError(f"missing sweep config keys: {sorted(missing)}")
+    for key in _LIST_KEYS:
+        if key in raw and not (isinstance(raw[key], list)
+                               or key == "lambda_grid" and raw[key] is None):
+            raise ValueError(f"{key} must be a list, not {raw[key]!r}")
+    for shape in raw["shapes"]:
+        if not (isinstance(shape, list) and len(shape) == 2):
+            raise ValueError(f"shapes must be [m1, m2] pairs, not {shape!r}")
+    if not isinstance(raw.get("solver_defaults") or {}, dict):
+        raise ValueError("solver_defaults must be a mapping, not "
+                         f"{raw['solver_defaults']!r}")
     kwargs = dict(raw)
     kwargs.update(
         shapes=tuple(Shape(_whole("shapes", m1), _whole("shapes", m2))
                      for m1, m2 in raw["shapes"]),
         ranks=tuple(_whole("ranks", r) for r in raw["ranks"]),
         # a JSON integer reads as a float; SweepConfig rejects other types
-        gammas=tuple(float(g) if type(g) is int else g for g in raw["gammas"]),
+        gammas=_floats(raw["gammas"]),
         n_values=tuple(_whole("n_values", n) for n in raw["n_values"]),
         estimators=tuple(raw["estimators"]))
     for key in ("replicates", "base_seed"):
@@ -399,5 +454,5 @@ def sweep_config_from_dict(raw: dict) -> SweepConfig:
                                            defaults["max_iters"])
         kwargs["solver_defaults"] = defaults
     if raw.get("lambda_grid") is not None:
-        kwargs["lambda_grid"] = tuple(float(v) for v in raw["lambda_grid"])
+        kwargs["lambda_grid"] = _floats(raw["lambda_grid"])
     return SweepConfig(**kwargs)

@@ -6,9 +6,17 @@ replacement, or through an independent Bernoulli mask) and the observed label
 is +1 with probability given by the logistic link of the entry value.  The
 estimators in :mod:`onebitmc.solvers` minimize the negative mean log-likelihood
 of such samples.
+
+The likelihood and its gradient read a matrix at the samples through one
+row-major flat index per sample set, computed once (:attr:`SampleSet.flat`):
+each evaluation gathers the sampled entries with one ``take`` and, for the
+gradient, scatters the residuals back with one ``bincount`` over the same
+index.  Their arithmetic runs in place on the gathered vector, in the same
+order as the textbook formulas, so the results are those formulas' bit for bit.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -73,7 +81,9 @@ class SampleSet:
 
     indices is an (n, 2) integer array; labels is a length-n array with values
     in {-1, +1}.  Under iid_uniform duplicates may occur; under bernoulli_mask
-    indices are distinct and listed in row-major order.
+    indices are distinct and listed in row-major order.  ``flat`` is computed
+    from indices and shape on first use and then kept; a set made by
+    :meth:`take` or :func:`dataclasses.replace` computes its own.
     """
 
     indices: np.ndarray
@@ -94,6 +104,11 @@ class SampleSet:
     def cols(self) -> np.ndarray:
         return self.indices[:, 1]
 
+    @cached_property
+    def flat(self) -> np.ndarray:
+        """Row-major flat index of each sample: rows * m2 + cols."""
+        return self.indices[:, 0] * self.shape.m2 + self.indices[:, 1]
+
     def take(self, idx) -> "SampleSet":
         """The samples at positions idx, in that order; scheme, seed and shape kept."""
         return replace(self, indices=self.indices[idx], labels=self.labels[idx])
@@ -104,13 +119,18 @@ def logistic_link(x):
 
     Accepts a scalar or an ndarray; returns the same shape.  Negative inputs
     use exp(x) / (1 + exp(x)) and nonnegative inputs 1 / (1 + exp(-x)), so the
-    exponential argument is never positive.
+    exponential argument is never positive; both branches share the one
+    exponential and the one division.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("logistic_link requires finite input")
-    z = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    # e = exp(-|x|); the link is 1 / (1 + e) for x >= 0 and e / (1 + e) below
+    e = np.abs(arr, out=np.empty_like(arr))
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.where(arr >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -221,25 +241,31 @@ def neg_log_likelihood(X: np.ndarray, samples: SampleSet) -> float:
 
     Each sample with label y at entry value x contributes log(1 + exp(-y x)),
     evaluated as max(-yx, 0) + log1p(exp(-|yx|)) so the link value is never
-    materialized near 0 or 1.
+    materialized near 0 or 1.  The sampled entries are gathered through
+    ``samples.flat`` into one vector that the rest of the evaluation reuses.
     """
     X = _check_matrix(X, samples)
-    z = samples.labels * X[samples.rows, samples.cols]
-    return float(np.mean(np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))))
+    z = X.ravel().take(samples.flat)
+    z *= samples.labels
+    soft = np.abs(z)
+    np.log1p(np.exp(np.negative(soft, out=soft), out=soft), out=soft)
+    np.maximum(np.negative(z, out=z), 0.0, out=z)
+    z += soft
+    return float(np.mean(z))
 
 
 def nll_gradient(X: np.ndarray, samples: SampleSet) -> np.ndarray:
     """Gradient of :func:`neg_log_likelihood` with respect to X.
 
     Entry (a, b) accumulates (link(X_ab) - 1{y=+1}) / n over the samples that
-    hit it; unsampled entries stay zero.
+    hit it; unsampled entries stay zero.  The residuals are gathered and
+    scattered through ``samples.flat``.
     """
     X = _check_matrix(X, samples)
-    p = logistic_link(X[samples.rows, samples.cols])
-    resid = p - (samples.labels == 1)
-    m1, m2 = X.shape
+    resid = logistic_link(X.ravel().take(samples.flat))
+    resid -= samples.labels == 1
     # bincount adds the weights in sample order, as a scatter-add would
-    grad = np.bincount(samples.rows * m2 + samples.cols, weights=resid,
-                       minlength=m1 * m2).reshape(m1, m2)
+    grad = np.bincount(samples.flat, weights=resid,
+                       minlength=X.size).reshape(X.shape)
     grad /= samples.n
     return grad

@@ -140,6 +140,12 @@ def signed_svd(X):
     return u, s, v
 
 
+def softplus_nll(X, samples):
+    """Mean of max(-yx, 0) + log1p(exp(-|yx|)) over the samples, out of place."""
+    z = samples.labels * X[samples.rows, samples.cols]
+    return float(np.mean(np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))))
+
+
 def scatter_gradient(X, samples):
     """Likelihood gradient accumulated sample by sample with np.add.at."""
     z = X[samples.rows, samples.cols]

@@ -255,6 +255,56 @@ class TestSweepAndRate:
         assert "gammas must be finite and positive" in capsys.readouterr().err
         assert out.read_text() == "earlier results\n"
 
+    @pytest.mark.parametrize("overrides, message", [
+        (["lambda_grid=[-0.1]"], "lambda_grid must be finite and positive"),
+        (["lambda_grid=[0.1, NaN]"], "lambda_grid must be finite and positive"),
+        (["lambda_grid=[]"], "lambda_grid must be nonempty"),
+        (["ranks=[9]"], "rank budget 9 outside [1, 8]"),
+        (["shapes=[[8, 8], [4, 6]]", "ranks=[1, 5]"],
+         "rank budget 5 outside [1, 4] of shape 4x6"),
+    ], ids=["negative_lambda", "nan_lambda", "empty_grid", "rank_above_shape",
+            "rank_above_second_shape"])
+    def test_bad_grids_leave_the_output_untouched(self, sweep_config_file,
+                                                  tmp_path, capsys, overrides,
+                                                  message):
+        out = tmp_path / "runs.csv"
+        out.write_bytes(b"earlier,results\r\n1,2")
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert run_cli("sweep", "--config", str(sweep_config_file),
+                       "--out", str(out), *sets) == 1
+        assert message in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier,results\r\n1,2"
+
+    @pytest.mark.parametrize("override, key", [
+        ("shapes=[8]", "shapes"), ("ranks=1", "ranks"),
+        ('estimators="nuclear_constrained"', "estimators"),
+    ], ids=["flat_shapes", "scalar_ranks", "string_estimators"])
+    def test_list_keys_that_are_not_lists_exit_one(self, sweep_config_file,
+                                                   tmp_path, capsys, override,
+                                                   key):
+        out = tmp_path / "runs.csv"
+        assert run_cli("sweep", "--config", str(sweep_config_file),
+                       "--out", str(out), "--set", override) == 1
+        err = capsys.readouterr().err
+        assert f"onebitmc: error: {key} must be" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, column", [
+        ("a,b\n1,2\n", "row_kind"),
+        ("row_kind,estimator\naggregate,nuclear_constrained\n", "m1"),
+        ("", "row_kind"),
+    ], ids=["two_columns", "two_sweep_columns", "empty"])
+    def test_rate_names_a_missing_column(self, tmp_path, capsys, text, column):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(text)
+        out = tmp_path / "rates.csv"
+        assert run_cli("rate", "--in", str(runs), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"{runs}: no {column!r} column" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, argv, message", [
         pytest.param("sweep", ["--seed", "7"], "unrecognized arguments",
                      id="sweep_seed"),

@@ -312,6 +312,20 @@ class TestConfigParsing:
         # a whole float reads as its integer
         assert type(config.n_values[0]) is int
 
+    @pytest.mark.parametrize("key, value", [
+        ("shapes", [8]), ("shapes", [[8, 8, 8]]), ("shapes", 8),
+        ("ranks", 1), ("gammas", 1.5), ("n_values", 40),
+        ("estimators", "nuclear_penalized"), ("lambda_grid", 0.1),
+        ("solver_defaults", [["max_iters", 100]])],
+        ids=["shapes_flat", "shapes_triple", "shapes_int", "ranks_int",
+             "gammas_float", "n_values_int", "estimators_str",
+             "lambda_grid_float", "solver_defaults_list"])
+    def test_rejects_lists_that_are_not_lists(self, key, value):
+        raw = {"shapes": [[8, 8]], "ranks": [1], "gammas": [1.5],
+               "n_values": [40], "estimators": ["nuclear_penalized"]}
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            sweep_config_from_dict(dict(raw, **{key: value}))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             small_config(replicates=0)
@@ -323,6 +337,17 @@ class TestConfigParsing:
                        (True,)):
             with pytest.raises(ValueError, match="gammas must be finite"):
                 small_config(gammas=gammas)
+        for grid in ((-0.1,), (0.1, 0.0), (math.nan,), (math.inf,), ("0.1",),
+                     (True,)):
+            with pytest.raises(ValueError, match="lambda_grid must be finite"):
+                small_config(lambda_grid=grid)
+        with pytest.raises(ValueError, match="lambda_grid must be nonempty"):
+            small_config(lambda_grid=())
+        # a rank must fit every shape of the grid, not only the first
+        for ranks, shapes in (((0,), (Shape(8, 8),)), ((9,), (Shape(8, 8),)),
+                              ((1, 4), (Shape(8, 8), Shape(3, 10)))):
+            with pytest.raises(ValueError, match="rank budget"):
+                small_config(ranks=ranks, shapes=shapes)
 
     def test_default_lambda_grid_spans_scaled_range(self):
         grid = default_lambda_grid(Shape(100, 100), 2000)

@@ -8,7 +8,7 @@ from onebitmc import (Shape, generate_truth, logistic_link,
                       neg_log_likelihood, nll_gradient, sample_observations)
 from onebitmc.seeding import make_rng
 
-from oracles import fd_gradient, scatter_gradient
+from oracles import fd_gradient, scatter_gradient, softplus_nll
 
 
 class TestLogisticLink:
@@ -104,6 +104,17 @@ class TestSampleSetTake:
         assert part.labels.dtype == s.labels.dtype
         assert (part.scheme, part.seed, part.shape, part.n) == \
             (s.scheme, s.seed, s.shape, 5)
+
+    def test_flat_index_is_recomputed_for_every_set(self):
+        t = generate_truth(Shape(6, 9), 2, 1.0, "gaussian_factor", 4)
+        s = sample_observations(t, 50, "iid_uniform", 6)
+        assert np.array_equal(s.flat, s.rows * 9 + s.cols)
+        # s.flat is cached before the take; the part must not reuse it
+        for idx in (np.array([3, 3, 0, 49]), np.arange(50)[::-1],
+                    np.arange(0)):
+            part = s.take(idx)
+            assert np.array_equal(part.flat,
+                                  part.indices[:, 0] * 9 + part.indices[:, 1])
 
     def test_split_covers_the_samples_and_leaves_them_unchanged(self):
         t = generate_truth(Shape(8, 8), 2, 1.0, "gaussian_factor", 3)
@@ -274,3 +285,47 @@ class TestNllGradient:
         X, s = _random_problem(rng, m1=7, m2=5, n=3000)
         assert np.unique(s.indices, axis=0).shape[0] < s.n
         assert np.array_equal(nll_gradient(X, s), scatter_gradient(X, s))
+
+
+def _same_bytes(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestKernelsBitForBit:
+    """The in-place kernels against out-of-place references, byte for byte."""
+
+    @staticmethod
+    def _check(X, s):
+        assert _same_bytes(nll_gradient(X, s), scatter_gradient(X, s))
+        assert _same_bytes(neg_log_likelihood(X, s), softplus_nll(X, s))
+
+    def test_repeated_indices(self):
+        rng = make_rng(23)
+        X, s = _random_problem(rng, m1=9, m2=4, n=2000)
+        assert np.unique(s.flat).size < s.n
+        self._check(5 * X, s)
+
+    def test_sampled_zeros_and_thirties(self):
+        rng = make_rng(29)
+        X, s = _random_problem(rng, m1=12, m2=10, n=400)
+        X[s.rows, s.cols] = rng.choice([0.0, -0.0, 30.0, -30.0], size=s.n)
+        self._check(X, s)
+        self._check(np.zeros_like(X), s)
+
+    def test_bernoulli_mask(self):
+        t = generate_truth(Shape(15, 11), 2, 1.5, "gaussian_factor", 8)
+        s = sample_observations(t, 80, "bernoulli_mask", 9)
+        self._check(make_rng(31).standard_normal((15, 11)), s)
+
+    def test_fortran_and_transposed_matrices(self):
+        rng = make_rng(37)
+        X, s = _random_problem(rng, m1=7, m2=11, n=300)
+        fortran = np.asfortranarray(X)
+        transposed = np.ascontiguousarray(X.T).T
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        assert transposed.base is not None and not transposed.flags.c_contiguous
+        for view in (fortran, transposed):
+            self._check(view, s)
+            assert _same_bytes(nll_gradient(view, s), nll_gradient(X, s))
+            assert _same_bytes(neg_log_likelihood(view, s),
+                               neg_log_likelihood(X, s))

@@ -22,6 +22,13 @@ A last line gives the SHA-256 of the CSV that run_sweep writes for a 20x20
 block_sign grid over all three estimators (r=2, gamma=1.5, n 100/200/400,
 3 replicates, base seed 5).
 
+Before the fits, one line per (sample set, scale) digests the likelihood
+kernels on their own: the SHA-256 of neg_log_likelihood's float64 bytes and
+nll_gradient's bytes at a fixed standard normal matrix times each of
+KERNEL_SCALES, on the seed-301 constrained_fit and maxnorm_fit sample sets.
+A kernel change that moves a bit shows there even where no fit happens to
+read it.
+
 The bytes depend on the machine and its BLAS, so compare two checkouts on one
 machine; the script is not a test.  It takes about 15 s on one core.
 """
@@ -37,17 +44,21 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 # import the package from PYTHONPATH before bench/run.py puts its own
 # checkout's src first on sys.path
 import onebitmc
 from onebitmc import (ESTIMATORS, Shape, SolverConfig, SweepConfig,
-                      generate_truth, refit_low_rank, sample_observations,
-                      solvers)
+                      generate_truth, neg_log_likelihood, nll_gradient,
+                      refit_low_rank, sample_observations, solvers)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import run  # noqa: E402
 
 SEED = 301
+# from near zero, where both link branches meet, to far into the saturated tails
+KERNEL_SCALES = (1e-2, 1e-1, 1.0, 4.0, 10.0, 40.0)
 
 
 def digest(label: str, fit) -> str:
@@ -57,6 +68,12 @@ def digest(label: str, fit) -> str:
     return (f"{label} {h.hexdigest()} {fit.iterations} {fit.converged} "
             f"{fit.work} {rep.inf_norm_violation!r} {rep.nuclear_norm!r} "
             f"{rep.maxnorm_upper_bound!r}")
+
+
+def kernel_digest(label: str, X, samples) -> str:
+    h = hashlib.sha256(np.float64(neg_log_likelihood(X, samples)).tobytes())
+    h.update(nll_gradient(X, samples).tobytes())
+    return f"{label} {h.hexdigest()}"
 
 
 def sweep_fits(config) -> list:
@@ -95,13 +112,23 @@ def small_instances():
 
 def main() -> int:
     print(f"onebitmc from {Path(onebitmc.__file__).parent}", file=sys.stderr)
+    instances = {"constrained_fit": run.constrained_instances(SEED),
+                 "maxnorm_fit": run.maxnorm_instances(SEED)}
+    for workload, insts in instances.items():
+        for i, inst in enumerate(insts):
+            shape = inst.samples.shape
+            # numpy's own generator, so the matrices do not depend on onebitmc
+            base = np.random.default_rng(SEED).standard_normal(
+                (shape.m1, shape.m2))
+            for scale in KERNEL_SCALES:
+                print(kernel_digest(f"kernel.{workload}[{i}].scale={scale:g}",
+                                    scale * base, inst.samples))
     for v, config in enumerate(run.penalized_sweep(SEED)):
         for i, (name, fit) in enumerate(sweep_fits(config)):
             print(digest(f"sweep_penalized[{v}].{i}.{name}", fit))
-    for workload, make in (("constrained_fit", run.constrained_instances),
-                           ("maxnorm_fit", run.maxnorm_instances)):
+    for workload, insts in instances.items():
         solve = getattr(solvers, run.WORKLOADS[workload].solver_name)
-        for i, inst in enumerate(make(SEED)):
+        for i, inst in enumerate(insts):
             print(digest(f"{workload}[{i}]", solve(inst.samples, inst.config)))
     for seed, samples in small_instances():
         cfg = SolverConfig(gamma=1.5, rank_hint=2, lam=0.005, seed=seed)
