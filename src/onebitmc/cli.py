@@ -172,6 +172,8 @@ def _apply_overrides(raw: dict, overrides: list) -> dict:
 def _cmd_sweep(args) -> int:
     with open(args.config) as handle:
         raw = json.load(handle)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{args.config}: not a JSON object")
     raw = _apply_overrides(raw, args.overrides)
     config = sweep_config_from_dict(raw)
     results = run_sweep(config, args.out, threads=args.threads)

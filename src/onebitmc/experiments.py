@@ -37,21 +37,64 @@ CSV_COLUMNS = ["row_kind", "estimator", "m1", "m2", "r", "gamma", "margin_tau",
                "lambda_used", "excess", "risk", "bayes_risk",
                "frob_err_sq_norm", "iterations", "converged", "work"]
 
-# solver_defaults keys accepted in sweep configurations; gamma, rank_hint and
-# seed are derived per cell, and each penalized cell selects its own lam
-_SOLVER_DEFAULT_KEYS = tuple(f.name for f in fields(SolverConfig) if f.name
-                             not in ("gamma", "rank_hint", "seed", "lam"))
+# each SweepConfig field's kind, which _read checks and normalizes; a tuple
+# kind is a registry the value must name, and each field in _LISTS is a
+# nonempty list of distinct values of its kind
+_KINDS = {"shapes": "shape", "ranks": "whole", "gammas": "positive",
+          "n_values": "count", "estimators": ESTIMATORS,
+          "generator": GENERATORS, "sampling_scheme": SCHEMES,
+          "replicates": "count", "base_seed": "whole",
+          "solver_defaults": "solver_defaults", "lambda_grid": "positive"}
+_LISTS = ("shapes", "ranks", "gammas", "n_values", "estimators", "lambda_grid")
 
 
-def _check_positive(key: str, value):
-    """A ValueError naming key unless value is a finite positive number."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or value <= 0):
+def _read(key: str, kind, value):
+    """value checked as one of kind, or a ValueError that names key.
+
+    A whole number or count comes back as an int, a positive number as a
+    float, and an [m1, m2] pair as a Shape.
+    """
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(f"{key} must be one of {', '.join(kind)}; "
+                             f"not {value!r}")
+        return value
+    if kind == "shape":
+        if isinstance(value, Shape):
+            return value
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise ValueError(f"{key} must be [m1, m2] pairs, not {value!r}")
+        return Shape(*(_read(key, "count", m) for m in value))
+    if kind == "solver_defaults":
+        # null reads as no defaults; gamma, rank_hint and seed are derived per
+        # cell, and each penalized cell selects its own lam
+        value = {} if value is None else value
+        if not isinstance(value, dict):
+            raise ValueError(f"{key} must be a mapping, not {value!r}")
+        for name in value:
+            if name != "max_iters":
+                raise ValueError(f"unknown solver default {name!r}")
+        return {name: _read(f"{key}.{name}", "count", v)
+                for name, v in value.items()}
+    number = (not isinstance(value, bool) and isinstance(value, (int, float))
+              and math.isfinite(value))
+    # a count is both whole and positive
+    if kind != "positive" and not (number and int(value) == value):
+        raise ValueError(f"{key} must be whole numbers, not {value!r}")
+    if kind != "whole" and not (number and value > 0):
         raise ValueError(f"{key} must be finite and positive, not {value!r}")
+    return float(value) if kind == "positive" else int(value)
 
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A sweep's grid and settings, each field checked by its kind in _KINDS.
+
+    The checks run on construction, for a config built in Python as for one
+    read from JSON, so a bad config fails before run_sweep opens its output.
+    Lists come back as tuples; every rank must fit every shape.
+    """
+
     shapes: tuple
     ranks: tuple
     gammas: tuple
@@ -65,39 +108,28 @@ class SweepConfig:
     lambda_grid: tuple | None = None
 
     def __post_init__(self):
-        for name in ("shapes", "ranks", "gammas", "n_values", "estimators"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
-        if self.replicates < 1:
-            raise ValueError("replicates must be positive")
-        if any(n < 1 for n in self.n_values):
-            raise ValueError("every n value must be positive")
-        # gammas, ranks and the lambda grid are checked here, because
-        # run_sweep truncates its output before the first cell builds a
-        # SolverConfig or a truth
-        for g in self.gammas:
-            _check_positive("gammas", g)
+        for key, kind in _KINDS.items():
+            value = getattr(self, key)
+            if key not in _LISTS:
+                value = _read(key, kind, value)
+            elif value is not None or key != "lambda_grid":
+                # a lambda_grid of None gives each cell its default grid; a
+                # string is not a list, though it iterates as one
+                if not isinstance(value, (list, tuple)):
+                    raise ValueError(f"{key} must be a list, not {value!r}")
+                if not value:
+                    raise ValueError(f"{key} must be nonempty")
+                value = tuple(_read(key, kind, v) for v in value)
+                for i, v in enumerate(value):
+                    if v in value[:i]:
+                        raise ValueError(f"{key} repeats {v!r}")
+            object.__setattr__(self, key, value)
         for shape in self.shapes:
             for r in self.ranks:
                 if not 1 <= r <= shape.min_dim:
                     raise ValueError(f"rank budget {r} outside "
                                      f"[1, {shape.min_dim}] of shape "
                                      f"{shape.m1}x{shape.m2}")
-        if self.lambda_grid is not None:
-            if not self.lambda_grid:
-                raise ValueError("lambda_grid must be nonempty")
-            for lam in self.lambda_grid:
-                _check_positive("lambda_grid", lam)
-        for est in self.estimators:
-            if est not in ESTIMATORS:
-                raise ValueError(f"unknown estimator {est!r}")
-        if self.generator not in GENERATORS:
-            raise ValueError(f"unknown generator {self.generator!r}")
-        if self.sampling_scheme not in SCHEMES:
-            raise ValueError(f"unknown sampling scheme {self.sampling_scheme!r}")
-        for key in self.solver_defaults:
-            if key not in _SOLVER_DEFAULT_KEYS:
-                raise ValueError(f"unknown solver default {key!r}")
 
 
 @dataclass(frozen=True)
@@ -263,8 +295,6 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return f"{float(x):.17g}"
 
 
@@ -392,32 +422,13 @@ def aggregate_points(rows, estimator: str):
     return {key: sorted(vals) for key, vals in groups.items()}
 
 
-# keys of a sweep config whose values are JSON lists
-_LIST_KEYS = ("shapes", "ranks", "gammas", "n_values", "estimators",
-              "lambda_grid")
-
-
-def _floats(values) -> tuple:
-    """values with each int as a float; other types are left for SweepConfig."""
-    return tuple(float(v) if type(v) is int else v for v in values)
-
-
-def _whole(key: str, value) -> int:
-    """value as an int; a ValueError naming key unless it is a whole number."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or int(value) != value):
-        raise ValueError(f"{key} must be whole numbers, not {value!r}")
-    return int(value)
-
-
 def sweep_config_from_dict(raw: dict) -> SweepConfig:
-    """The SweepConfig of its fields; absent ones default, counts are whole.
+    """The SweepConfig of a JSON object's fields; absent ones default.
 
-    The grid keys and lambda_grid must be lists, each shape a [m1, m2] pair,
-    and solver_defaults a mapping; a ValueError names the key that is not.
+    A ValueError names any key that is not a field and any required field
+    that is absent; SweepConfig checks and normalizes the values.
     """
-    known = {f.name for f in fields(SweepConfig)}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_KINDS)
     if unknown:
         raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
     required = {f.name for f in fields(SweepConfig)
@@ -425,34 +436,4 @@ def sweep_config_from_dict(raw: dict) -> SweepConfig:
     missing = required - set(raw)
     if missing:
         raise ValueError(f"missing sweep config keys: {sorted(missing)}")
-    for key in _LIST_KEYS:
-        if key in raw and not (isinstance(raw[key], list)
-                               or key == "lambda_grid" and raw[key] is None):
-            raise ValueError(f"{key} must be a list, not {raw[key]!r}")
-    for shape in raw["shapes"]:
-        if not (isinstance(shape, list) and len(shape) == 2):
-            raise ValueError(f"shapes must be [m1, m2] pairs, not {shape!r}")
-    if not isinstance(raw.get("solver_defaults") or {}, dict):
-        raise ValueError("solver_defaults must be a mapping, not "
-                         f"{raw['solver_defaults']!r}")
-    kwargs = dict(raw)
-    kwargs.update(
-        shapes=tuple(Shape(_whole("shapes", m1), _whole("shapes", m2))
-                     for m1, m2 in raw["shapes"]),
-        ranks=tuple(_whole("ranks", r) for r in raw["ranks"]),
-        # a JSON integer reads as a float; SweepConfig rejects other types
-        gammas=_floats(raw["gammas"]),
-        n_values=tuple(_whole("n_values", n) for n in raw["n_values"]),
-        estimators=tuple(raw["estimators"]))
-    for key in ("replicates", "base_seed"):
-        if key in raw:
-            kwargs[key] = _whole(key, raw[key])
-    if "solver_defaults" in raw:
-        defaults = dict(raw["solver_defaults"] or {})
-        if "max_iters" in defaults:
-            defaults["max_iters"] = _whole("solver_defaults.max_iters",
-                                           defaults["max_iters"])
-        kwargs["solver_defaults"] = defaults
-    if raw.get("lambda_grid") is not None:
-        kwargs["lambda_grid"] = _floats(raw["lambda_grid"])
-    return SweepConfig(**kwargs)
+    return SweepConfig(**raw)

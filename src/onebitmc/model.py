@@ -34,8 +34,10 @@ class Shape:
     m2: int
 
     def __post_init__(self):
-        if self.m1 < 1 or self.m2 < 1:
-            raise ValueError(f"dimensions must be positive, got {self.m1}x{self.m2}")
+        # a float or bool dimension would build a truth of its int() size
+        if not all(type(m) is int and m >= 1 for m in (self.m1, self.m2)):
+            raise ValueError(f"dimensions must be positive ints, got "
+                             f"{self.m1!r}x{self.m2!r}")
 
     @property
     def d(self) -> int:

@@ -79,8 +79,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a float count fails only inside the solve, and a bool reads as 0 or 1
-        for name in ("rank_hint", "max_iters"):
+        # a float count fails only inside the solve, a float seed is
+        # truncated, and a bool reads as 0 or 1
+        for name in ("rank_hint", "max_iters", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, not {value!r}")

@@ -5,10 +5,15 @@ counts, 20 replicates) that takes a few minutes; everything else is fast.
 Run with `pytest tests/test_acceptance.py -v -s` to watch the lines appear.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +25,9 @@ from onebitmc import (CellKey, Shape, SolverConfig, SweepConfig,
                       project_nuclear_ball, read_sweep_rows,
                       run_cell, run_sweep, sample_observations,
                       solve_maxnorm_constrained, solve_nuclear_constrained,
-                      solve_nuclear_penalized, svt_prox)
+                      solve_nuclear_penalized, svt_prox,
+                      sweep_config_from_dict)
+import onebitmc
 from onebitmc.seeding import make_rng
 
 import oracles
@@ -250,13 +257,44 @@ class TestCriterion8:
                              f"R^2 {fit.r_squared:.3f}")
 
 
+def _config_json(config: SweepConfig) -> str:
+    """config as the JSON object that `onebitmc sweep --config` reads."""
+    raw = {f.name: getattr(config, f.name) for f in fields(config)}
+    raw["shapes"] = [[shape.m1, shape.m2] for shape in config.shapes]
+    return json.dumps(raw)
+
+
 class TestCriterion9:
+    def test_json_form_reads_back_equal(self):
+        raw = json.loads(_config_json(SWEEP_CONFIG))
+        assert sweep_config_from_dict(raw) == SWEEP_CONFIG
+
     def test_sweep_determinism_across_threads(self, sweep6, tmp_path):
+        """The 1-thread rerun runs the CLI on the JSON config in a child
+        process while the 8-thread rerun runs here, so the check also spans
+        processes and the JSON reader."""
         base = sweep6.read_bytes()
+        config = tmp_path / "sweep.json"
+        config.write_text(_config_json(SWEEP_CONFIG))
         rerun = tmp_path / "rerun1.csv"
-        run_sweep(SWEEP_CONFIG, rerun, threads=1)
-        eight = tmp_path / "rerun8.csv"
-        run_sweep(SWEEP_CONFIG, eight, threads=8)
+        src = str(Path(onebitmc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with open(tmp_path / "child.log", "w+") as log:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "onebitmc.cli", "sweep", "--config",
+                 str(config), "--out", str(rerun), "--threads", "1"],
+                env=env, stdout=log, stderr=subprocess.STDOUT)
+            try:
+                eight = tmp_path / "rerun8.csv"
+                run_sweep(SWEEP_CONFIG, eight, threads=8)
+                child.wait(timeout=900)
+            finally:
+                if child.poll() is None:
+                    child.kill()
+                    child.wait()
+            log.seek(0)
+            assert child.returncode == 0, log.read()
         same_1 = rerun.read_bytes() == base
         same_8 = eight.read_bytes() == base
         ok = same_1 and same_8

@@ -262,8 +262,9 @@ class TestSweepAndRate:
         (["ranks=[9]"], "rank budget 9 outside [1, 8]"),
         (["shapes=[[8, 8], [4, 6]]", "ranks=[1, 5]"],
          "rank budget 5 outside [1, 4] of shape 4x6"),
+        (["n_values=[40, 80, 40]"], "n_values repeats 40"),
     ], ids=["negative_lambda", "nan_lambda", "empty_grid", "rank_above_shape",
-            "rank_above_second_shape"])
+            "rank_above_second_shape", "repeated_n"])
     def test_bad_grids_leave_the_output_untouched(self, sweep_config_file,
                                                   tmp_path, capsys, overrides,
                                                   message):
@@ -289,6 +290,18 @@ class TestSweepAndRate:
         assert f"onebitmc: error: {key} must be" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["5", '[["shapes", [[8, 8]]]]'],
+                             ids=["number", "list"])
+    def test_config_that_is_not_an_object_exits_one(self, tmp_path, capsys,
+                                                     text):
+        config = tmp_path / "sweep.json"
+        config.write_text(text)
+        assert run_cli("sweep", "--config", str(config), "--out",
+                       str(tmp_path / "runs.csv"), "--set", "replicates=2") == 1
+        err = capsys.readouterr().err
+        assert f"{config}: not a JSON object" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("text, column", [
         ("a,b\n1,2\n", "row_kind"),

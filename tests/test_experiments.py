@@ -291,16 +291,21 @@ class TestConfigParsing:
         ("replicates", 1.9), ("base_seed", 0.5), ("replicates", "2"),
         ("n_values", [math.inf]), ("ranks", [True]), ("replicates", True),
         ("solver_defaults", {"max_iters": 40.5}),
-        ("solver_defaults", {"max_iters": True})],
+        ("solver_defaults", {"max_iters": True}), ("ranks", (True,)),
+        ("n_values", (40.5,))],
         ids=["shape_8.5", "rank_1.7", "n_100.9", "replicates_1.9",
              "base_seed_0.5", "replicates_str", "n_inf", "rank_true",
-             "replicates_true", "max_iters_40.5", "max_iters_true"])
+             "replicates_true", "max_iters_40.5", "max_iters_true",
+             "rank_true_tuple", "n_40.5_tuple"])
     def test_rejects_counts_that_are_not_whole(self, key, value):
         raw = {"shapes": [[8, 8]], "ranks": [1], "gammas": [1.5],
                "n_values": [40], "estimators": ["nuclear_penalized"]}
         # a solver default is named with its key, solver_defaults.max_iters
         with pytest.raises(ValueError, match=f"{key}.* must be whole numbers"):
             sweep_config_from_dict(dict(raw, **{key: value}))
+        # a config built in Python is checked the same way
+        with pytest.raises(ValueError, match=f"{key}.* must be whole numbers"):
+            SweepConfig(**dict(raw, **{key: value}))
 
     def test_absent_keys_take_the_dataclass_defaults(self):
         raw = {"shapes": [[8, 8]], "ranks": [1], "gammas": [1.5],
@@ -325,6 +330,8 @@ class TestConfigParsing:
                "n_values": [40], "estimators": ["nuclear_penalized"]}
         with pytest.raises(ValueError, match=f"^{key} must be"):
             sweep_config_from_dict(dict(raw, **{key: value}))
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            SweepConfig(**dict(raw, **{key: value}))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -343,6 +350,14 @@ class TestConfigParsing:
                 small_config(lambda_grid=grid)
         with pytest.raises(ValueError, match="lambda_grid must be nonempty"):
             small_config(lambda_grid=())
+        # values are compared after they are read, so 1 and 1.0 repeat, and
+        # so do a Shape and its pair
+        with pytest.raises(ValueError, match="gammas repeats 1.0"):
+            small_config(gammas=(1, 1.5, 1.0))
+        with pytest.raises(ValueError, match="shapes repeats"):
+            small_config(shapes=(Shape(8, 8), [8, 8.0]))
+        with pytest.raises(ValueError, match="^shapes must be finite and pos"):
+            small_config(shapes=([0, 8],))
         # a rank must fit every shape of the grid, not only the first
         for ranks, shapes in (((0,), (Shape(8, 8),)), ((9,), (Shape(8, 8),)),
                               ((1, 4), (Shape(8, 8), Shape(3, 10)))):

@@ -49,6 +49,12 @@ class TestShape:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Shape(0, 4)
+        # a float or bool dimension would build a truth of its int() size
+        for m1, m2, dims in ((8, 8.5, "8x8.5"), (True, 8, "Truex8"),
+                             (8.0, 8, "8.0x8")):
+            with pytest.raises(ValueError,
+                               match=f"must be positive ints, got {dims}"):
+                Shape(m1, m2)
 
 
 class TestGenerateTruth:

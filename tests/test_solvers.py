@@ -427,7 +427,8 @@ class TestSharedContracts:
             SolverConfig(gamma=-1.0, rank_hint=1)
         for bad in (dict(rank_hint=1.5), dict(rank_hint=True),
                     dict(rank_hint=1, max_iters=40.5),
-                    dict(rank_hint=1, max_iters=True)):
+                    dict(rank_hint=1, max_iters=True),
+                    dict(rank_hint=1, seed=0.5), dict(rank_hint=1, seed=True)):
             with pytest.raises(ValueError, match="must be an int"):
                 SolverConfig(gamma=1.5, **bad)
         for bad in (dict(gamma=math.nan), dict(gamma=math.inf),
