@@ -92,7 +92,9 @@ class SweepConfig:
 
     The checks run on construction, for a config built in Python as for one
     read from JSON, so a bad config fails before run_sweep opens its output.
-    Lists come back as tuples; every rank must fit every shape.
+    Lists come back as tuples; every rank must fit every shape, every n must
+    fit every shape under bernoulli_mask, and a nuclear_penalized sweep
+    needs n >= 10 to select its penalty.
     """
 
     shapes: tuple
@@ -130,6 +132,16 @@ class SweepConfig:
                     raise ValueError(f"rank budget {r} outside "
                                      f"[1, {shape.min_dim}] of shape "
                                      f"{shape.m1}x{shape.m2}")
+            n = max(self.n_values)
+            if self.sampling_scheme == "bernoulli_mask" and n > shape.n_entries:
+                raise ValueError(f"n {n} above the {shape.n_entries} entries "
+                                 f"of shape {shape.m1}x{shape.m2} under "
+                                 "bernoulli_mask")
+        # select_lambda holds out a fifth of the samples and needs 10
+        n = min(self.n_values)
+        if "nuclear_penalized" in self.estimators and n < 10:
+            raise ValueError(f"n {n} below the 10 samples nuclear_penalized "
+                             "selects its penalty on")
 
 
 @dataclass(frozen=True)
@@ -328,8 +340,11 @@ def run_sweep(config: SweepConfig, output_path, threads: int = 1) -> list:
     Cells execute on a thread pool of the requested width; rows are written in
     canonical cell order with replicates ascending, so the output bytes do not
     depend on the thread count.  The output location is opened before any
-    computation starts.
+    computation starts; a thread count that is not an int >= 1 is a
+    ValueError raised before that.
     """
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ValueError(f"threads must be an int >= 1, not {threads!r}")
     cells = sweep_cells(config)
     with open(output_path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")

@@ -1,13 +1,15 @@
 """Independent reference computations used to check the library.
 
-The 2x2 grid-search oracle evaluates objectives on dense point grids that
-zoom toward the best feasible point; it shares no code with the solvers (the
-likelihood and nuclear norm are recomputed from scratch on flat arrays).
-The SVD sign convention, the scatter-add gradient and the balanced-factor
-max-norm bound are kept here in their plain per-column / per-sample forms,
-and the solvers' stepping policy as plain gradient descent on the matrix and
-as plain alternating descent on two factors, with the max-norm solver's
-seeded start drawn by hand.
+The 2x2 oracles share no code with the solvers: they recompute the
+likelihood from each entry's (+1, -1) label counts and the nuclear norm from
+flat arrays.  The penalized and nuclear-constrained oracles evaluate their
+objectives on dense point grids that zoom toward the best feasible point;
+the box-only oracle is the exact per-entry minimum.  The SVD sign
+convention, the scatter-add gradient and the balanced-factor max-norm bound
+are kept here in their plain per-column / per-sample forms, and the solvers'
+stepping policy as plain gradient descent on the matrix and as plain
+alternating descent on two factors, with the max-norm solver's seeded start
+drawn by hand.
 """
 
 import numpy as np
@@ -20,13 +22,17 @@ def softplus(z):
     return np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def nll_flat(P, entry_idx, labels):
-    """Mean logistic loss for a stack of flattened 2x2 matrices.
+def label_counts(samples):
+    """Per-entry counts of +1 and of -1 labels of a 2x2 sample set, row-major."""
+    flat = samples.rows * 2 + samples.cols
+    return (np.bincount(flat[samples.labels == 1], minlength=4),
+            np.bincount(flat[samples.labels == -1], minlength=4))
 
-    P is (K, 4); entry_idx maps each sample to a flat entry; labels in {-1,+1}.
-    """
-    z = labels[None, :] * P[:, entry_idx]
-    return softplus(z).mean(axis=1)
+
+def nll_counts(P, pos, neg):
+    """Mean logistic loss of flattened 2x2 matrices P (K, 4), each entry's
+    +1 and -1 losses weighted by its label counts from label_counts."""
+    return (softplus(P) @ pos + softplus(-P) @ neg) / (pos.sum() + neg.sum())
 
 
 def nuclear_flat(P):
@@ -67,47 +73,35 @@ def zoom_grid_search(objective, feasible, gamma, levels=12, points=13,
     return best_point, best_val
 
 
-def sample_arrays(samples):
-    """Flat entry indices and float labels for a 2x2 sample set."""
-    entry_idx = samples.rows * 2 + samples.cols
-    return entry_idx, samples.labels.astype(float)
-
-
 def oracle_penalized(samples, gamma, lam):
-    entry_idx, labels = sample_arrays(samples)
-
-    def objective(P):
-        return nll_flat(P, entry_idx, labels) + lam * nuclear_flat(P)
-
-    return zoom_grid_search(objective, lambda P: np.ones(len(P), bool), gamma)
+    pos, neg = label_counts(samples)
+    return zoom_grid_search(
+        lambda P: nll_counts(P, pos, neg) + lam * nuclear_flat(P),
+        lambda P: np.ones(len(P), bool), gamma)
 
 
 def oracle_nuclear_constrained(samples, gamma, radius):
-    entry_idx, labels = sample_arrays(samples)
-
-    def objective(P):
-        return nll_flat(P, entry_idx, labels)
-
-    def feasible(P):
-        return nuclear_flat(P) <= radius * (1 + 1e-12)
-
-    return zoom_grid_search(objective, feasible, gamma)
+    pos, neg = label_counts(samples)
+    return zoom_grid_search(
+        lambda P: nll_counts(P, pos, neg),
+        lambda P: nuclear_flat(P) <= radius * (1 + 1e-12), gamma)
 
 
 def oracle_box_only(samples, gamma):
-    """Plain likelihood minimum over the entrywise box.
+    """Exact likelihood minimum over the entrywise box, entry by entry.
 
-    Serves as the max-norm solver's reference on 2x2 problems with rank hint
-    2: there the certified max-norm radius gamma * sqrt(2) provably contains
-    the whole box (any X factors as I * X with row-norm product at most
+    An entry with p labels +1 and q labels -1 is minimized at log(p / q)
+    clipped to [-gamma, gamma] (+-gamma where q or p is 0), and at 0 if it has
+    no label.  It is the max-norm solver's reference on 2x2 problems with rank
+    hint 2: the certified max-norm radius gamma * sqrt(2) then contains the
+    whole box (any X factors as I * X with row-norm product at most
     sqrt(2) * ||X||_inf), so the box is the entire feasible set.
     """
-    entry_idx, labels = sample_arrays(samples)
-
-    def objective(P):
-        return nll_flat(P, entry_idx, labels)
-
-    return zoom_grid_search(objective, lambda P: np.ones(len(P), bool), gamma)
+    pos, neg = label_counts(samples)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logit = np.log(pos / neg)  # +-inf where one label is absent
+    point = np.where(pos + neg > 0, np.clip(logit, -gamma, gamma), 0.0)
+    return point, float(nll_counts(point[None, :], pos, neg)[0])
 
 
 def fd_gradient(fn, X, h=1e-5):

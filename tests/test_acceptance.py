@@ -1,8 +1,10 @@
 """Acceptance suite: ten numbered criteria, one pass/fail line printed each.
 
-Criteria 6 through 9 share one replicated sweep (100x100, rank 2, four sample
-counts, 20 replicates) that takes a few minutes; everything else is fast.
-Run with `pytest tests/test_acceptance.py -v -s` to watch the lines appear.
+Criteria 5 through 9 share one replicated sweep (100x100, rank 2, four sample
+counts, 20 replicates), run in process at 8 threads beside its CLI rerun at 1
+thread, which criterion 9 compares byte for byte: about 55 s of the suite's
+70 s on 2 cores.  Run with `pytest tests/test_acceptance.py -v -s` to watch
+the lines appear.
 """
 
 import json
@@ -14,6 +16,7 @@ import time
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -49,11 +52,46 @@ SWEEP_CONFIG = SweepConfig(
     replicates=20, base_seed=0)
 
 
+def _config_json(config: SweepConfig) -> str:
+    """config as the JSON object that `onebitmc sweep --config` reads."""
+    raw = {f.name: getattr(config, f.name) for f in fields(config)}
+    raw["shapes"] = [[shape.m1, shape.m2] for shape in config.shapes]
+    return json.dumps(raw)
+
+
+class Sweep(NamedTuple):
+    csv: Path  # run_sweep in this process at 8 threads; criteria 5-8 read it
+    cli_csv: Path  # the CLI on the JSON form in a child process at 1 thread
+    cli_code: int
+    cli_log: str
+
+
 @pytest.fixture(scope="session")
 def sweep6(tmp_path_factory):
-    path = tmp_path_factory.mktemp("acceptance") / "sweep6.csv"
-    run_sweep(SWEEP_CONFIG, path, threads=1)
-    return path
+    """SWEEP_CONFIG run by the CLI from its JSON form in a child process at 1
+    thread while run_sweep runs it here at 8 threads; criterion 9 compares
+    the two, so its check spans thread counts, processes and the JSON reader."""
+    tmp = tmp_path_factory.mktemp("acceptance")
+    config = tmp / "sweep.json"
+    config.write_text(_config_json(SWEEP_CONFIG))
+    src = str(Path(onebitmc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open(tmp / "child.log", "w+") as log:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "onebitmc.cli", "sweep", "--config",
+             str(config), "--out", str(tmp / "cli1.csv"), "--threads", "1"],
+            env=env, stdout=log, stderr=subprocess.STDOUT)
+        try:
+            run_sweep(SWEEP_CONFIG, tmp / "sweep8.csv", threads=8)
+            child.wait(timeout=900)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+        log.seek(0)
+        return Sweep(tmp / "sweep8.csv", tmp / "cli1.csv", child.returncode,
+                     log.read())
 
 
 def _aggregate_series(path):
@@ -158,7 +196,7 @@ class TestCriterion3:
         elapsed = time.time() - start
         worst = max(gaps.values())
         ok = worst <= 1e-3 and elapsed < 120.0
-        assert report(3, ok, "worst objective gap vs grid oracle over 50 "
+        assert report(3, ok, "worst objective gap vs oracle over 50 "
                              "instances: " +
                       ", ".join(f"{k}={v:.2e}" for k, v in gaps.items()) +
                       f" in {elapsed:.0f}s (budget 120s)")
@@ -194,7 +232,7 @@ class TestCriterion4:
 
 class TestCriterion5:
     def test_excess_nonnegative_and_bayes_optimal(self, sweep6):
-        rows = read_sweep_rows(sweep6)
+        rows = read_sweep_rows(sweep6.csv)
         excesses = [float(r["excess"]) for r in rows if r["excess"] != ""]
         min_excess = min(excesses)
 
@@ -216,7 +254,7 @@ class TestCriterion5:
 
 class TestCriterion6:
     def test_fast_rate_slope(self, sweep6):
-        ns, excess, _ = _aggregate_series(sweep6)
+        ns, excess, _ = _aggregate_series(sweep6.csv)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fit = fit_rate(list(zip(ns, excess)))
@@ -229,7 +267,7 @@ class TestCriterion6:
 
 class TestCriterion7:
     def test_rate_ordering_soft_check(self, sweep6):
-        ns, excess, _ = _aggregate_series(sweep6)
+        ns, excess, _ = _aggregate_series(sweep6.csv)
         pen_at_8000 = excess[ns.index(8000)]
         key = CellKey(Shape(100, 100), 2, 1.5, 8000, "maxnorm_constrained")
         cell = run_cell(key, replace(SWEEP_CONFIG,
@@ -249,7 +287,7 @@ class TestCriterion7:
 
 class TestCriterion8:
     def test_estimation_error_slope(self, sweep6):
-        ns, _, frob = _aggregate_series(sweep6)
+        ns, _, frob = _aggregate_series(sweep6.csv)
         fit = fit_rate(list(zip(ns, frob)))
         ok = fit.slope <= -0.6
         assert report(8, ok, f"mean frob {['%.3g' % f for f in frob]} at "
@@ -257,49 +295,16 @@ class TestCriterion8:
                              f"R^2 {fit.r_squared:.3f}")
 
 
-def _config_json(config: SweepConfig) -> str:
-    """config as the JSON object that `onebitmc sweep --config` reads."""
-    raw = {f.name: getattr(config, f.name) for f in fields(config)}
-    raw["shapes"] = [[shape.m1, shape.m2] for shape in config.shapes]
-    return json.dumps(raw)
-
-
 class TestCriterion9:
     def test_json_form_reads_back_equal(self):
         raw = json.loads(_config_json(SWEEP_CONFIG))
         assert sweep_config_from_dict(raw) == SWEEP_CONFIG
 
-    def test_sweep_determinism_across_threads(self, sweep6, tmp_path):
-        """The 1-thread rerun runs the CLI on the JSON config in a child
-        process while the 8-thread rerun runs here, so the check also spans
-        processes and the JSON reader."""
-        base = sweep6.read_bytes()
-        config = tmp_path / "sweep.json"
-        config.write_text(_config_json(SWEEP_CONFIG))
-        rerun = tmp_path / "rerun1.csv"
-        src = str(Path(onebitmc.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        with open(tmp_path / "child.log", "w+") as log:
-            child = subprocess.Popen(
-                [sys.executable, "-m", "onebitmc.cli", "sweep", "--config",
-                 str(config), "--out", str(rerun), "--threads", "1"],
-                env=env, stdout=log, stderr=subprocess.STDOUT)
-            try:
-                eight = tmp_path / "rerun8.csv"
-                run_sweep(SWEEP_CONFIG, eight, threads=8)
-                child.wait(timeout=900)
-            finally:
-                if child.poll() is None:
-                    child.kill()
-                    child.wait()
-            log.seek(0)
-            assert child.returncode == 0, log.read()
-        same_1 = rerun.read_bytes() == base
-        same_8 = eight.read_bytes() == base
-        ok = same_1 and same_8
-        assert report(9, ok, f"byte-identical rerun at 1 thread: {same_1}; "
-                             f"at 8 threads: {same_8}")
+    def test_sweep_determinism_across_threads(self, sweep6):
+        assert sweep6.cli_code == 0, sweep6.cli_log
+        same = sweep6.cli_csv.read_bytes() == sweep6.csv.read_bytes()
+        assert report(9, same, f"byte-identical at 1 thread (CLI child) and "
+                               f"8 threads (in process): {same}")
 
 
 class TestCriterion10:

@@ -213,13 +213,21 @@ class TestSweepAndRate:
         assert "unknown estimator 'bogus_estimator'" in capsys.readouterr().err
 
     def test_sweep_deterministic_across_threads(self, sweep_config_file,
-                                                tmp_path):
+                                                tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli("sweep", "--config", str(sweep_config_file), "--out",
                        str(a), "--threads", "1") == 0
         assert run_cli("sweep", "--config", str(sweep_config_file), "--out",
                        str(b), "--threads", "8") == 0
         assert a.read_bytes() == b.read_bytes()
+        # a thread count below 1 is an error, not a serial run
+        capsys.readouterr()
+        for threads in ("0", "-4"):
+            assert run_cli("sweep", "--config", str(sweep_config_file),
+                           "--out", str(b), "--threads", threads) == 1
+            assert (f"threads must be an int >= 1, not {threads}"
+                    in capsys.readouterr().err)
+            assert b.read_bytes() == a.read_bytes()
 
     def test_bad_override_exits_one(self, sweep_config_file, tmp_path):
         assert run_cli("sweep", "--config", str(sweep_config_file),

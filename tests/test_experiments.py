@@ -187,6 +187,10 @@ class TestRunSweep:
         run_sweep(config, one, threads=1)
         run_sweep(config, many, threads=4)
         assert one.read_bytes() == many.read_bytes()
+        for threads in (0, -4, 1.5, True):
+            with pytest.raises(ValueError, match="threads must be an int"):
+                run_sweep(config, many, threads=threads)
+            assert many.read_bytes() == one.read_bytes()
 
     def test_aggregate_row_recomputable(self, tmp_path):
         out = tmp_path / "runs.csv"
@@ -363,6 +367,17 @@ class TestConfigParsing:
                               ((1, 4), (Shape(8, 8), Shape(3, 10)))):
             with pytest.raises(ValueError, match="rank budget"):
                 small_config(ranks=ranks, shapes=shapes)
+        # an n that run_sweep could not sample or select a penalty on; the
+        # bounds themselves pass
+        with pytest.raises(ValueError, match="n 30 above the 24 entries of "
+                                             "shape 4x6 under bernoulli_mask"):
+            small_config(shapes=(Shape(8, 8), Shape(4, 6)), n_values=(20, 30),
+                         sampling_scheme="bernoulli_mask")
+        small_config(sampling_scheme="bernoulli_mask", n_values=(40, 64))
+        with pytest.raises(ValueError, match="n 9 below the 10 samples"):
+            small_config(estimators=("nuclear_constrained",
+                                     "nuclear_penalized"), n_values=(40, 9))
+        small_config(estimators=("nuclear_penalized",), n_values=(10,))
 
     def test_default_lambda_grid_spans_scaled_range(self):
         grid = default_lambda_grid(Shape(100, 100), 2000)

@@ -29,6 +29,31 @@ def make_2x2(seed, gamma=3.0, n=12):
     return sample_observations(truth, n, "iid_uniform", seed + 77)
 
 
+class TestOracles:
+    def test_count_likelihood_matches_per_sample_form(self):
+        rng = make_rng(23)
+        for seed in range(5):
+            samples = make_2x2(seed)
+            pos, neg = oracles.label_counts(samples)
+            for _ in range(20):
+                X = rng.uniform(-3.0, 3.0, (2, 2))
+                counted = oracles.nll_counts(X.reshape(1, 4), pos, neg)[0]
+                assert abs(counted - oracles.softplus_nll(X, samples)) <= 1e-15
+
+    def test_box_closed_form_is_at_or_below_the_grid(self):
+        # criterion 3's first instances; the closed form is the exact minimum,
+        # so the zoom grid over the box can only stop at or above it
+        for seed in range(5):
+            samples = make_2x2(seed)
+            pos, neg = oracles.label_counts(samples)
+            point, exact = oracles.oracle_box_only(samples, 3.0)
+            _, grid = oracles.zoom_grid_search(
+                lambda P: oracles.nll_counts(P, pos, neg),
+                lambda P: np.ones(len(P), bool), 3.0)
+            assert np.max(np.abs(point)) <= 3.0
+            assert grid - 1e-9 <= exact <= grid
+
+
 class TestNuclearPenalized:
     def test_kkt_zero_solution(self):
         _, samples = make_problem(seed=4)
